@@ -1,6 +1,7 @@
 /// \file bench_operators.cc
 /// \brief OPS — operator-kernel throughput: compiled predicate programs vs
-/// the interpreted Expr oracle, and the hash-join fast path vs nested loops.
+/// the interpreted Expr oracle, the hash-join fast path vs nested loops, and
+/// the compiled aggregate program vs the interpreted Aggregator.
 ///
 /// Default mode measures page-at-a-time kernel throughput both ways on the
 /// standard benchmark relations, prints a before/after table, and exports
@@ -21,6 +22,7 @@
 #include "common/logging.h"
 #include "engine/run.h"
 #include "operators/aggregator.h"
+#include "operators/compiled_aggregate.h"
 #include "operators/dedup.h"
 #include "operators/kernels.h"
 #include "operators/sort_merge_join.h"
@@ -221,6 +223,41 @@ Comparison CompareJoin(const char* name, ExprPtr pred, size_t outer_pages,
   return out;
 }
 
+/// Grouped aggregation over every page of "bench": the interpreted
+/// Aggregator vs the compiled program (tuples/s), for \p specs grouped by
+/// \p group_by.
+Comparison CompareAggregate(const char* name,
+                            const std::vector<std::string>& group_by,
+                            std::vector<AggregateSpec> specs, int reps) {
+  BenchData& d = Data();
+  PlanNodePtr plan = MakeAggregate(MakeScan("bench"), group_by, specs);
+  Analyzer analyzer(&d.storage.catalog());
+  auto analysis = analyzer.Resolve(plan.get());
+  DFDB_CHECK(analysis.ok()) << analysis.status();
+  auto interpreted =
+      Aggregator::Create(d.schema, plan->output_schema, group_by, specs);
+  DFDB_CHECK(interpreted.ok()) << interpreted.status();
+  auto compiled = CompiledAggregate::Compile(d.schema, plan->output_schema,
+                                             group_by, specs);
+  DFDB_CHECK(compiled.ok()) << compiled.status();
+  uint64_t tuples = 0;
+  for (const PagePtr& page : d.pages) {
+    tuples += static_cast<uint64_t>(page->num_tuples());
+  }
+  auto pass = [&](AggregateKernel* kernel) {
+    return BestSeconds(reps, [&] {
+      for (const PagePtr& page : d.pages) DFDB_CHECK_OK(kernel->Consume(*page));
+      CountingSink sink;
+      DFDB_CHECK_OK(kernel->Finish(&sink));
+      benchmark::DoNotOptimize(sink.count());
+    });
+  };
+  Comparison out{name};
+  out.interpreted_per_s = static_cast<double>(tuples) / pass(&*interpreted);
+  out.compiled_per_s = static_cast<double>(tuples) / pass(&*compiled);
+  return out;
+}
+
 /// One real engine execution (restrict + equijoin), proving the
 /// `engine.kernel.*` counter family flows end to end: the exported run must
 /// show compiled pages and a hash join.
@@ -271,6 +308,11 @@ int GaugeMain(int argc, char** argv) {
       CompareJoin("join.eq_id", Eq(Col("id"), RightCol("id")), 4, reps));
   rows.push_back(CompareJoin("join.eq_k100",
                              Eq(Col("k100"), RightCol("k100")), 4, reps));
+  // The events_scan full-scan shape: an INT32 key, COUNT and SUM(double).
+  rows.push_back(CompareAggregate("agg.k25_count_sum_val", {"k25"},
+                                  {{AggregateSpec::Func::kCount, "", "n"},
+                                   {AggregateSpec::Func::kSum, "val", "s"}},
+                                  reps));
 
   bench::Table table({"kernel", "interpreted/s", "compiled/s", "speedup"});
   obs::RunReport report = EngineCounterRun();

@@ -23,7 +23,7 @@
 #include "engine/edge.h"
 #include "index/access_path.h"
 #include "obs/trace.h"
-#include "operators/aggregator.h"
+#include "operators/compiled_aggregate.h"
 #include "operators/dedup.h"
 #include "operators/kernels.h"
 #include "operators/set_ops.h"
@@ -123,7 +123,7 @@ struct NodeState {
 
   // kAggregate.
   std::mutex agg_mu;
-  std::optional<Aggregator> aggregator;
+  std::unique_ptr<AggregateKernel> aggregator;
 
   // --- producer-side events (called by the child's edge wiring) ---
   void OnPage(int slot, PendingPage p);
@@ -608,9 +608,10 @@ void NodeState::OnClose(int slot) {
       RunJoinOuter(std::move(w));
     });
   }
-  if (node->op == PlanOp::kDifference && slot == 1) {
-    ReleaseDifferenceLeftIfReady();
-  }
+  // The right side may be done now: at its own close, or, under relation
+  // granularity, at the left close that launches the node after an empty
+  // right side closed first (no right task is left to release the left).
+  if (node->op == PlanOp::kDifference) ReleaseDifferenceLeftIfReady();
   TryFinalize();
 }
 
@@ -1256,12 +1257,13 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
       break;
     }
     case PlanOp::kAggregate: {
-      auto agg = Aggregator::Create(n->child(0).output_schema, n->output_schema,
-                                    n->columns, n->aggregates);
+      auto agg = MakeAggregateKernel(n->child(0).output_schema,
+                                     n->output_schema, n->columns,
+                                     n->aggregates);
       if (!agg.ok()) {
         setup = agg.status();
       } else {
-        ns->aggregator.emplace(*std::move(agg));
+        ns->aggregator = *std::move(agg);
       }
       break;
     }

@@ -20,10 +20,10 @@
 #define DFDB_INDEX_ZONE_MAP_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -72,7 +72,8 @@ bool ZoneMapBrackets(const ZoneMapEntry& entry, const Schema& schema,
 /// Readers (scan pruning, possibly from many worker threads) and writers
 /// (seal under the heap file's mutex, erase at page free) synchronize on an
 /// internal mutex; entries are shared_ptr<const> so a reader's view stays
-/// alive across a concurrent erase.
+/// alive across a concurrent erase. A hash map, because scan pruning looks
+/// up every page of the relation on each submit.
 class ZoneMapStore {
  public:
   void Put(PageId id, ZoneMapEntry entry) {
@@ -100,7 +101,7 @@ class ZoneMapStore {
 
  private:
   mutable std::mutex mu_;
-  std::map<PageId, std::shared_ptr<const ZoneMapEntry>> maps_;
+  std::unordered_map<PageId, std::shared_ptr<const ZoneMapEntry>> maps_;
 };
 
 }  // namespace dfdb

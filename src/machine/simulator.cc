@@ -17,7 +17,7 @@
 #include "machine/fault_injector.h"
 #include "machine/packet.h"
 #include "machine/resources.h"
-#include "operators/aggregator.h"
+#include "operators/compiled_aggregate.h"
 #include "operators/dedup.h"
 #include "obs/trace.h"
 #include "operators/kernels.h"
@@ -152,7 +152,7 @@ struct InstrRt {
   JoinScratch join_scratch;
 
   // Barrier-operator state.
-  std::unique_ptr<Aggregator> agg;
+  std::unique_ptr<AggregateKernel> agg;
   DuplicateEliminator dedup;
   DifferenceOp diff;
   uint64_t delete_matches = 0;
@@ -227,13 +227,13 @@ class Sim {
   void InitBarrierState(InstrRt* ir) {
     const MachineInstruction& def = *ir->def;
     if (def.op == PlanOp::kAggregate) {
-      auto agg = Aggregator::Create(def.operands[0].schema, def.output_schema,
-                                    def.node->columns, def.node->aggregates);
+      auto agg = MakeAggregateKernel(def.operands[0].schema, def.output_schema,
+                                     def.node->columns, def.node->aggregates);
       if (!agg.ok()) {
         Fail(agg.status());
         return;
       }
-      ir->agg = std::make_unique<Aggregator>(*std::move(agg));
+      ir->agg = *std::move(agg);
     }
   }
 

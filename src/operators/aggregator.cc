@@ -58,9 +58,19 @@ Status Aggregator::Consume(const Page& page) {
         case AggregateSpec::Func::kSum:
         case AggregateSpec::Func::kAvg: {
           DFDB_ASSIGN_OR_RETURN(double d, v.AsNumeric());
-          agg.sum_double += d;
-          if (v.type() == ColumnType::kInt32) agg.sum_int += v.as_int32();
-          if (v.type() == ColumnType::kInt64) agg.sum_int += v.as_int64();
+          // Finish reads sum_int for SUM over integers and sum_exact for
+          // SUM over DOUBLE and for AVG (the analyzer's output types).
+          if (specs_[s].func == AggregateSpec::Func::kAvg ||
+              v.type() == ColumnType::kDouble) {
+            if (agg.sum_exact == nullptr) {
+              agg.sum_exact = std::make_unique<ExactSum>();
+            }
+            agg.sum_exact->Add(d);
+          } else if (v.type() == ColumnType::kInt32) {
+            agg.sum_int += static_cast<uint64_t>(v.as_int32());
+          } else if (v.type() == ColumnType::kInt64) {
+            agg.sum_int += static_cast<uint64_t>(v.as_int64());
+          }
           break;
         }
         case AggregateSpec::Func::kMin: {
@@ -100,15 +110,16 @@ Status Aggregator::Finish(PageSink* out) {
           break;
         case AggregateSpec::Func::kSum:
           if (out_type == ColumnType::kInt64) {
-            row.push_back(Value::Int64(agg.sum_int));
+            row.push_back(Value::Int64(static_cast<int64_t>(agg.sum_int)));
           } else {
-            row.push_back(Value::Double(agg.sum_double));
+            row.push_back(Value::Double(agg.sum_exact->Round()));
           }
           break;
         case AggregateSpec::Func::kAvg:
           row.push_back(Value::Double(
-              agg.count == 0 ? 0.0
-                             : agg.sum_double / static_cast<double>(agg.count)));
+              agg.count == 0
+                  ? 0.0
+                  : agg.sum_exact->Round() / static_cast<double>(agg.count)));
           break;
         case AggregateSpec::Func::kMin:
           if (!agg.min.has_value()) {

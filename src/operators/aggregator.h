@@ -1,15 +1,21 @@
 /// \file aggregator.h
 /// \brief Grouped aggregation over a page stream (extension operator).
+///
+/// The Aggregator here interprets every tuple through Values; it is the
+/// semantic reference (ReferenceExecutor's path) and the engines' fallback
+/// for shapes the compiled program in compiled_aggregate.h does not cover.
 
 #ifndef DFDB_OPERATORS_AGGREGATOR_H_
 #define DFDB_OPERATORS_AGGREGATOR_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/schema.h"
+#include "operators/exact_sum.h"
 #include "operators/page_sink.h"
 #include "ra/plan.h"
 #include "storage/page.h"
@@ -17,9 +23,41 @@
 
 namespace dfdb {
 
+/// \brief The aggregate operator as both engines drive it: Consume() every
+/// input page (in any order), then Finish() once.
+///
+/// Every implementation emits one tuple per group in the byte order of the
+/// encoded group columns, and its output does not depend on the order the
+/// pages arrived in, except for which of several MIN/MAX values that
+/// compare equal but differ in bytes (-0.0 and 0.0, NaNs) is kept.
+class AggregateKernel {
+ public:
+  virtual ~AggregateKernel() = default;
+
+  /// Folds every tuple of \p page into the running groups.
+  virtual Status Consume(const Page& page) = 0;
+
+  /// Emits one encoded output tuple per group. Afterwards the kernel is
+  /// reset and reusable.
+  virtual Status Finish(PageSink* out) = 0;
+
+  virtual size_t num_groups() const = 0;
+
+ protected:
+  AggregateKernel() = default;
+  AggregateKernel(const AggregateKernel&) = default;
+  AggregateKernel(AggregateKernel&&) = default;
+  AggregateKernel& operator=(const AggregateKernel&) = default;
+  AggregateKernel& operator=(AggregateKernel&&) = default;
+};
+
 /// \brief Accumulates grouped aggregates across pages, then emits one tuple
 /// per group in group-key order (deterministic output).
-class Aggregator {
+///
+/// SUM over integers adds in uint64_t, so an overflowing sum wraps like
+/// two's complement instead of being undefined. SUM over DOUBLE and AVG
+/// add into an ExactSum, so they do not depend on page order.
+class Aggregator final : public AggregateKernel {
  public:
   /// \p input_schema and \p output_schema must be the analyzer-resolved
   /// schemas of the aggregate node's child and of the node itself.
@@ -28,20 +66,18 @@ class Aggregator {
                                      const std::vector<std::string>& group_by,
                                      std::vector<AggregateSpec> specs);
 
-  /// Folds every tuple of \p page into the running groups.
-  Status Consume(const Page& page);
-
-  /// Emits one encoded output tuple per group. After Finish() the
-  /// aggregator is reset and reusable.
-  Status Finish(PageSink* out);
-
-  size_t num_groups() const { return groups_.size(); }
+  Status Consume(const Page& page) override;
+  Status Finish(PageSink* out) override;
+  size_t num_groups() const override { return groups_.size(); }
 
  private:
   struct AggState {
     int64_t count = 0;
-    double sum_double = 0;
-    int64_t sum_int = 0;
+    /// SUM over DOUBLE and AVG only, allocated at the first value: it is
+    /// 536 bytes.
+    std::unique_ptr<ExactSum> sum_exact;
+    /// SUM over INT32/INT64.
+    uint64_t sum_int = 0;
     std::optional<Value> min;
     std::optional<Value> max;
   };

@@ -140,6 +140,15 @@ TEST_P(ExecutorCorrectnessTest, Difference) {
                   {"k100"}, true)));
 }
 
+// The subtrahend is empty and closes first (gamma is a fifth of alpha's
+// pages). Under relation granularity the minuend's close is what enables
+// the node, and the minuend's buffered pages must still be released.
+TEST_P(ExecutorCorrectnessTest, DifferenceEmptySubtrahendClosesFirst) {
+  CheckAgainstReference(MakeDifference(
+      MakeScan("alpha"),
+      MakeRestrict(MakeScan("gamma"), Lt(Col("k1000"), Lit(0)))));
+}
+
 TEST_P(ExecutorCorrectnessTest, AggregateGrouped) {
   std::vector<AggregateSpec> specs;
   specs.push_back({AggregateSpec::Func::kCount, "", "cnt"});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/reference.h"
+#include "engine/run.h"
 #include "tests/test_util.h"
 #include "workload/paper_benchmark.h"
 
@@ -139,6 +140,41 @@ TEST_F(SimulatorTest, AggregateBarrier) {
   specs.push_back({AggregateSpec::Func::kSum, "k1000", "total"});
   CheckAgainstReference(MakeAggregate(MakeScan("beta"), {"k10"}, specs),
                         Granularity::kPage);
+}
+
+TEST_F(SimulatorTest, DoubleAggregatesIdenticalOnEveryBackendAndPageOrder) {
+  // SUM and AVG over DOUBLE add exactly, so neither the IP count, the
+  // granularity nor the engine's worker count — which all change the order
+  // pages reach the aggregate — moves a bit.
+  std::vector<AggregateSpec> specs;
+  specs.push_back({AggregateSpec::Func::kCount, "", "cnt"});
+  specs.push_back({AggregateSpec::Func::kSum, "val", "total"});
+  specs.push_back({AggregateSpec::Func::kAvg, "val", "mean"});
+  specs.push_back({AggregateSpec::Func::kMin, "val", "lo"});
+  specs.push_back({AggregateSpec::Func::kMax, "val", "hi"});
+  for (const std::vector<std::string>& group_by :
+       {std::vector<std::string>{}, std::vector<std::string>{"k10"}}) {
+    PlanNodePtr plan = MakeAggregate(MakeScan("alpha"), group_by, specs);
+    ReferenceExecutor reference(storage_.get());
+    ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+    for (Granularity g :
+         {Granularity::kPage, Granularity::kRelation, Granularity::kTuple}) {
+      for (int ips : {1, 3, 8}) {
+        MachineSimulator sim(storage_.get(), Options(g, ips));
+        ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run({plan.get()}));
+        ASSERT_EQ(report.results.size(), 1u);
+        ExpectSameResult(expected, report.results[0]);
+      }
+    }
+    for (int procs : {1, 4}) {
+      ExecOptions opts;
+      opts.num_processors = procs;
+      opts.page_bytes = 2000;
+      ASSERT_OK_AND_ASSIGN(QueryResult actual,
+                           RunQuery(storage_.get(), *plan, opts));
+      ExpectSameResult(expected, actual);
+    }
+  }
 }
 
 TEST_F(SimulatorTest, DifferenceBarrier) {

@@ -98,7 +98,7 @@ int Main(int argc, char** argv) {
          StrFormat("%llu", (unsigned long long)report->faults.retries),
          StrFormat("%llu", (unsigned long long)report->faults.redispatches),
          StrFormat("%.3f",
-                   report->faults.retry_ticks_lost.ToSecondsF() * 1e3)});
+                   static_cast<double>(report->faults.retry_ns_lost) / 1e6)});
   }
   fault_table.Print("ablhw_fault");
   bench::WriteJson("bench_ablation_hardware", argc, argv);

@@ -184,11 +184,11 @@ ModeResult RunPerQuery(StorageEngine* storage,
     sum.overhead_bytes += per_query[i].overhead_bytes;
     sum.pages_produced += per_query[i].pages_produced;
     sum.tuples_produced += per_query[i].tuples_produced;
-    sum.mvcc_snapshots_captured += per_query[i].mvcc_snapshots_captured;
-    sum.mvcc_pages_copied += per_query[i].mvcc_pages_copied;
-    sum.mvcc_gc_reclaimed += per_query[i].mvcc_gc_reclaimed;
-    sum.mvcc_commits += per_query[i].mvcc_commits;
-    sum.mvcc_versions_live = per_query[i].mvcc_versions_live;
+    sum.mvcc.snapshots_captured += per_query[i].mvcc.snapshots_captured;
+    sum.mvcc.pages_copied += per_query[i].mvcc.pages_copied;
+    sum.mvcc.gc_reclaimed += per_query[i].mvcc.gc_reclaimed;
+    sum.mvcc.commits += per_query[i].mvcc.commits;
+    sum.mvcc.versions_live = per_query[i].mvcc.versions_live;
     out.reader_queued += stream[i].is_writer ? 0 : retries[i];
     out.writer_queued += stream[i].is_writer ? retries[i] : 0;
   }
@@ -234,7 +234,7 @@ ModeResult RunResident(StorageEngine* storage,
         queue_wait_ns.fetch_add(handle->queue_wait_ns(),
                                 std::memory_order_relaxed);
         if (result.ok()) {
-          queued[i] = result->stats().sched_queued;
+          queued[i] = result->stats().sched.queued;
           if (!stream[i].is_writer) hashes[i] = HashResult(*result);
         }
       }

@@ -107,9 +107,9 @@ int main() {
   for (size_t i = 0; i < handles.size(); ++i) {
     const ExecStats& qs = results[i].stats();
     std::printf("  %-14s %s, waited %.3f ms (requeues: %llu)\n", names[i],
-                qs.sched_queued ? "queued " : "admitted",
-                static_cast<double>(qs.sched_queue_wait_ns) / 1e6,
-                static_cast<unsigned long long>(qs.sched_requeues));
+                qs.sched.queued ? "queued " : "admitted",
+                static_cast<double>(qs.sched.queue_wait_ns) / 1e6,
+                static_cast<unsigned long long>(qs.sched.requeues));
   }
 
   ExecStats totals = scheduler.AggregateStats();

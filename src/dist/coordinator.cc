@@ -117,24 +117,15 @@ Status Coordinator::Connect() {
 
 void Coordinator::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   registry->Set("dist.workers", static_cast<uint64_t>(num_workers()));
-  registry->Set("dist.queries", counters_.queries.load());
-  registry->Set("dist.fragments", counters_.fragments_dispatched.load());
-  registry->Set("dist.batches_routed", counters_.batches_routed.load());
-  registry->Set("dist.bytes_shuffled", counters_.bytes_shuffled.load());
-  registry->Set("dist.rows_returned", counters_.rows_returned.load());
-  registry->Set("dist.repartitions", counters_.repartitions.load());
-  registry->Set("dist.broadcasts", counters_.broadcasts.load());
-  registry->Set("dist.gathers", counters_.gathers.load());
-  registry->Set("dist.credit_waits", counters_.credit_waits.load());
-  registry->Set("dist.errors", counters_.errors.load());
-  registry->Set("dist.shuffle_micros", counters_.shuffle_micros.load());
+  const DistStats stats = counters_.Snapshot();
+  ExportCounters(registry, "dist.", stats);
   // The outer-ring bandwidth gauge: shuffled payload over routed wall time,
   // in megabits/s (matching the simulator's Fig 4.2 ring measurement).
-  const uint64_t micros = counters_.shuffle_micros.load();
+  const uint64_t micros = stats.shuffle_micros;
   const uint64_t mbit_s =
       micros == 0 ? 0
                   : static_cast<uint64_t>(
-                        (counters_.bytes_shuffled.load() * 8.0 / 1e6) /
+                        (stats.bytes_shuffled * 8.0 / 1e6) /
                         (static_cast<double>(micros) / 1e6));
   registry->Set("dist.shuffle.mbit_s", mbit_s);
 }

@@ -27,7 +27,6 @@
 #ifndef DFDB_DIST_COORDINATOR_H_
 #define DFDB_DIST_COORDINATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,6 +38,7 @@
 #include "common/statusor.h"
 #include "dist/fragment.h"
 #include "net/client.h"
+#include "obs/counters.h"
 #include "obs/metrics.h"
 
 namespace dfdb {
@@ -62,22 +62,14 @@ struct CoordinatorOptions {
   net::ClientOptions client;
 };
 
-/// \brief Monotonic dist.* counters across the coordinator's lifetime.
+/// \brief The coordinator's counters: the dist.* rows of obs/counters.h.
+/// With bytes_shuffled, shuffle_micros yields the dist.shuffle.mbit_s
+/// gauge mirroring the simulator's Fig 4.2 ring.
+struct DistStats {
+  DFDB_PLAIN_COUNTERS(DistStats, DFDB_DIST_COUNTERS)
+};
 struct DistCounters {
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> fragments_dispatched{0};
-  std::atomic<uint64_t> batches_routed{0};
-  std::atomic<uint64_t> bytes_shuffled{0};  ///< Tuple payload through the star.
-  std::atomic<uint64_t> rows_returned{0};
-  std::atomic<uint64_t> repartitions{0};  ///< kPartition streams planned.
-  std::atomic<uint64_t> broadcasts{0};    ///< kBroadcast streams planned.
-  std::atomic<uint64_t> gathers{0};       ///< Non-root kGather streams.
-  std::atomic<uint64_t> credit_waits{0};  ///< Sender stalls on input credit.
-  std::atomic<uint64_t> errors{0};
-  /// Wall seconds spent inside Execute() routing shuffles (microsecond
-  /// resolution, accumulated); with bytes_shuffled this yields the
-  /// dist.shuffle.mbit_s gauge mirroring the simulator's Fig 4.2 ring.
-  std::atomic<uint64_t> shuffle_micros{0};
+  DFDB_ATOMIC_COUNTERS(DistStats, DFDB_DIST_COUNTERS)
 };
 
 /// \brief Plans and executes queries across a fixed set of workers.

@@ -5,123 +5,30 @@
 
 namespace dfdb {
 
+ExecStats& ExecStats::operator+=(const ExecStats& o) {
+  static_cast<ExecCounters&>(*this) += static_cast<const ExecCounters&>(o);
+  kernel += o.kernel;
+  index += o.index;
+  pushdown += o.pushdown;
+  sched += o.sched;
+  mvcc += o.mvcc;
+  buffer += o.buffer;
+  return *this;
+}
+
 std::string ExecStats::ToString() const {
-  std::string out = StrFormat(
-      "wall=%.3fs tasks=%llu packets=%llu arb=%s dist=%s ovh=%s pages=%llu "
-      "tuples=%llu | %s",
-      wall_seconds, static_cast<unsigned long long>(tasks_executed),
-      static_cast<unsigned long long>(packets),
-      HumanBytes(static_cast<int64_t>(arbitration_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(distribution_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(overhead_bytes)).c_str(),
-      static_cast<unsigned long long>(pages_produced),
-      static_cast<unsigned long long>(tuples_produced),
-      buffer.ToString().c_str());
-  if (sched_queued > 0) {
-    out += StrFormat(
-        " | sched: admitted=%llu queued=%llu requeues=%llu wait=%.3fms",
-        static_cast<unsigned long long>(sched_admitted),
-        static_cast<unsigned long long>(sched_queued),
-        static_cast<unsigned long long>(sched_requeues),
-        static_cast<double>(sched_queue_wait_ns) / 1e6);
-  }
-  if (faults_injected > 0) {
-    out += StrFormat(
-        " | faults=%llu abandoned=%llu redispatched=%llu poison=%llu",
-        static_cast<unsigned long long>(faults_injected),
-        static_cast<unsigned long long>(workers_abandoned),
-        static_cast<unsigned long long>(redispatched_tasks),
-        static_cast<unsigned long long>(poison_dropped));
-  }
-  if (pipeline_fused_edges > 0 || pipeline_runtime_fallbacks > 0) {
-    out += StrFormat(
-        " | pipeline: fused=%llu materialized=%llu elided=%llu "
-        "fused_pages=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(pipeline_fused_edges),
-        static_cast<unsigned long long>(pipeline_materialized_edges),
-        static_cast<unsigned long long>(pipeline_pages_elided),
-        static_cast<unsigned long long>(pipeline_fused_pages),
-        static_cast<unsigned long long>(pipeline_runtime_fallbacks));
-  }
-  if (index.any()) {
-    out += StrFormat(
-        " | index: pruned=%llu zonemap=%llu probes=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(index.pages_pruned),
-        static_cast<unsigned long long>(index.zonemap_hits),
-        static_cast<unsigned long long>(index.gridfile_probes),
-        static_cast<unsigned long long>(index.fallback_scans));
-  }
-  if (pushdown.any()) {
-    out += StrFormat(
-        " | pushdown: pages=%llu in=%llu out=%llu elided=%s fallbacks=%llu",
-        static_cast<unsigned long long>(pushdown.pages_filtered),
-        static_cast<unsigned long long>(pushdown.tuples_in),
-        static_cast<unsigned long long>(pushdown.tuples_out),
-        HumanBytes(static_cast<int64_t>(pushdown.bytes_elided)).c_str(),
-        static_cast<unsigned long long>(pushdown.fallbacks));
-  }
-  if (kernel.compiled_pages > 0 || kernel.interpreted_pages > 0 ||
-      kernel.hash_joins > 0 || kernel.nested_joins > 0) {
-    out += StrFormat(
-        " | kernel: compiled=%llu interpreted=%llu fallbacks=%llu "
-        "hash_joins=%llu nested_joins=%llu collisions=%llu",
-        static_cast<unsigned long long>(kernel.compiled_pages),
-        static_cast<unsigned long long>(kernel.interpreted_pages),
-        static_cast<unsigned long long>(kernel.compile_fallbacks),
-        static_cast<unsigned long long>(kernel.hash_joins),
-        static_cast<unsigned long long>(kernel.nested_joins),
-        static_cast<unsigned long long>(kernel.hash_build_collisions));
-  }
+  std::string out = StrFormat("wall=%.3fs", wall_seconds);
+  AppendCounters(&out, static_cast<const ExecCounters&>(*this), kernel, index,
+                 pushdown, sched, mvcc, buffer);
   return out;
 }
 
 void RegisterMetrics(const ExecStats& stats, obs::MetricsRegistry* registry) {
-  registry->Set("engine.tasks_executed", stats.tasks_executed);
-  registry->Set("engine.packets", stats.packets);
-  registry->Set("engine.arbitration_bytes", stats.arbitration_bytes);
-  registry->Set("engine.distribution_bytes", stats.distribution_bytes);
-  registry->Set("engine.overhead_bytes", stats.overhead_bytes);
+  ExportCounters(registry, "engine.", static_cast<const ExecCounters&>(stats),
+                 stats.kernel, stats.index, stats.pushdown, stats.sched,
+                 stats.mvcc);
+  ExportCounters(registry, "storage.", stats.buffer);
   registry->Set("engine.network_bytes", stats.network_bytes());
-  registry->Set("engine.pages_produced", stats.pages_produced);
-  registry->Set("engine.tuples_produced", stats.tuples_produced);
-  registry->Set("engine.sched.admitted", stats.sched_admitted);
-  registry->Set("engine.sched.queued", stats.sched_queued);
-  registry->Set("engine.sched.requeues", stats.sched_requeues);
-  registry->Set("engine.sched.queue_wait_ns", stats.sched_queue_wait_ns);
-  registry->Set("engine.sched.skips", stats.sched_skips);
-  registry->Set("engine.mvcc.snapshots_open", stats.mvcc_snapshots_open);
-  registry->Set("engine.mvcc.snapshots_captured",
-                stats.mvcc_snapshots_captured);
-  registry->Set("engine.mvcc.versions_live", stats.mvcc_versions_live);
-  registry->Set("engine.mvcc.pages_copied", stats.mvcc_pages_copied);
-  registry->Set("engine.mvcc.gc_reclaimed", stats.mvcc_gc_reclaimed);
-  registry->Set("engine.mvcc.commits", stats.mvcc_commits);
-  registry->Set("engine.pipeline.fused_edges", stats.pipeline_fused_edges);
-  registry->Set("engine.pipeline.materialized_edges",
-                stats.pipeline_materialized_edges);
-  registry->Set("engine.pipeline.pages_elided", stats.pipeline_pages_elided);
-  registry->Set("engine.pipeline.fused_pages", stats.pipeline_fused_pages);
-  registry->Set("engine.pipeline.runtime_fallbacks",
-                stats.pipeline_runtime_fallbacks);
-  registry->Set("engine.kernel.compiled_pages", stats.kernel.compiled_pages);
-  registry->Set("engine.kernel.interpreted_pages",
-                stats.kernel.interpreted_pages);
-  registry->Set("engine.kernel.compile_fallbacks",
-                stats.kernel.compile_fallbacks);
-  registry->Set("engine.kernel.hash_joins", stats.kernel.hash_joins);
-  registry->Set("engine.kernel.nested_joins", stats.kernel.nested_joins);
-  registry->Set("engine.kernel.hash_build_collisions",
-                stats.kernel.hash_build_collisions);
-  registry->Set("engine.index.pages_pruned", stats.index.pages_pruned);
-  registry->Set("engine.index.zonemap_hits", stats.index.zonemap_hits);
-  registry->Set("engine.index.gridfile_probes", stats.index.gridfile_probes);
-  registry->Set("engine.index.fallback_scans", stats.index.fallback_scans);
-  RegisterPushdownMetrics(stats.pushdown, "engine.pushdown.", registry);
-  registry->Set("engine.faults.injected", stats.faults_injected);
-  registry->Set("engine.faults.workers_abandoned", stats.workers_abandoned);
-  registry->Set("engine.faults.redispatched_tasks", stats.redispatched_tasks);
-  registry->Set("engine.faults.poison_dropped", stats.poison_dropped);
-  RegisterMetrics(stats.buffer, registry);
 }
 
 obs::RunReport ExecStats::ToReport() const {

@@ -4,64 +4,14 @@
 #ifndef DFDB_ENGINE_ENGINE_STATS_H_
 #define DFDB_ENGINE_ENGINE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "index/index_stats.h"
+#include "obs/counters.h"
 #include "obs/run_report.h"
-#include "operators/kernels.h"
-#include "storage/buffer_manager.h"
-#include "storage/pushdown.h"
 
 namespace dfdb {
-
-/// \brief Thread-safe counters updated by worker threads.
-///
-/// The byte counters correspond to the paper's network-bandwidth analysis:
-/// every instruction packet's operand bytes pass the "arbitration" path to a
-/// processor; every result page passes the "distribution" path back.
-struct EngineCounters {
-  std::atomic<uint64_t> tasks_executed{0};
-  /// Instruction packets dispatched (a join outer-page task counts once per
-  /// inner page it consumes, since each consumption is one broadcast
-  /// delivery).
-  std::atomic<uint64_t> packets{0};
-  /// Operand payload bytes moved memory -> processor.
-  std::atomic<uint64_t> arbitration_bytes{0};
-  /// Result payload bytes moved processor -> memory.
-  std::atomic<uint64_t> distribution_bytes{0};
-  /// Packet-overhead bytes (packets * overhead).
-  std::atomic<uint64_t> overhead_bytes{0};
-  std::atomic<uint64_t> pages_produced{0};
-  std::atomic<uint64_t> tuples_produced{0};
-  // Fault injection (EngineFaultPlan).
-  std::atomic<uint64_t> faults_injected{0};
-  std::atomic<uint64_t> workers_abandoned{0};
-  /// Tasks pushed back to the queue by an abandoning worker and later
-  /// completed by a survivor.
-  std::atomic<uint64_t> redispatched_tasks{0};
-  /// Poisoned packets detected and dropped by workers.
-  std::atomic<uint64_t> poison_dropped{0};
-  // Pipeline-fusion outcomes (engine.pipeline.*). Edges are counted once
-  // per query at task-build time; pages as the fused chains run.
-  std::atomic<uint64_t> pipeline_fused_edges{0};
-  std::atomic<uint64_t> pipeline_materialized_edges{0};
-  /// Intermediate pages that were never built because the edge was fused.
-  std::atomic<uint64_t> pipeline_pages_elided{0};
-  /// Input pages run through a FusedPipeline program.
-  std::atomic<uint64_t> pipeline_fused_pages{0};
-  /// Edges the plan marked fused but the engine had to materialize (safety
-  /// re-check failed at build time).
-  std::atomic<uint64_t> pipeline_runtime_fallbacks{0};
-  /// Compiled-vs-interpreted kernel split (engine.kernel.*).
-  KernelStats kernel;
-  /// Access-path pruning outcomes (engine.index.*).
-  IndexPruneStats index;
-  /// Near-data pushdown outcomes (engine.pushdown.*).
-  PushdownStats pushdown;
-};
 
 /// \brief Immutable snapshot of one query (or batch) execution.
 ///
@@ -69,55 +19,24 @@ struct EngineCounters {
 /// returned through the `batch_stats` out-parameter of
 /// Executor::Execute/ExecuteBatch. Fault counters and buffer traffic are
 /// pool-wide, so they appear only in the batch aggregate (zero in per-query
-/// snapshots).
-struct ExecStats {
+/// snapshots). The counters are the engine.* and storage.* rows of
+/// obs/counters.h: the ExecCounters rows as direct members, the other
+/// families grouped.
+struct ExecStats : ExecCounters {
   double wall_seconds = 0;
-  uint64_t tasks_executed = 0;
-  uint64_t packets = 0;
-  uint64_t arbitration_bytes = 0;
-  uint64_t distribution_bytes = 0;
-  uint64_t overhead_bytes = 0;
-  uint64_t pages_produced = 0;
-  uint64_t tuples_produced = 0;
-  uint64_t faults_injected = 0;
-  uint64_t workers_abandoned = 0;
-  uint64_t redispatched_tasks = 0;
-  uint64_t poison_dropped = 0;
-  /// Pipeline-fusion outcomes (engine.pipeline.*).
-  uint64_t pipeline_fused_edges = 0;
-  uint64_t pipeline_materialized_edges = 0;
-  uint64_t pipeline_pages_elided = 0;
-  uint64_t pipeline_fused_pages = 0;
-  uint64_t pipeline_runtime_fallbacks = 0;
-  // MC scheduler admission outcomes (engine.sched.*). Per-query snapshots
-  // carry this query's own values (admitted/queued are then 0-or-1); batch
-  // and scheduler aggregates carry totals. queue_wait_ns is exactly 0 for
-  // queries admitted without waiting, so seeded conflict-free runs stay
-  // deterministic.
-  uint64_t sched_admitted = 0;      ///< Queries admitted immediately.
-  uint64_t sched_queued = 0;        ///< Queries that waited in the MC queue.
-  uint64_t sched_requeues = 0;      ///< Failed re-admission probes.
-  uint64_t sched_queue_wait_ns = 0; ///< Time spent waiting for admission.
-  uint64_t sched_skips = 0;         ///< Conflicting bypasses while waiting.
-  // MVCC snapshot-read outcomes (engine.mvcc.*). Per-query snapshots carry
-  // the storage-wide counter values observed at completion; scheduler
-  // aggregates carry the live storage-wide values.
-  uint64_t mvcc_snapshots_open = 0;     ///< Live snapshots right now.
-  uint64_t mvcc_snapshots_captured = 0; ///< Snapshots ever captured.
-  uint64_t mvcc_versions_live = 0;      ///< Version records across files.
-  uint64_t mvcc_pages_copied = 0;       ///< Pages rewritten copy-on-write.
-  uint64_t mvcc_gc_reclaimed = 0;       ///< Retired pages freed by GC.
-  uint64_t mvcc_commits = 0;            ///< Versions installed (commits).
-  /// Kernel-compilation outcomes (engine.kernel.*): how many pages ran the
-  /// compiled program vs the interpreted Expr tree, how often compilation
+  /// Which pages ran compiled programs vs Expr trees, how often compilation
   /// was refused, and which join path page pairs took.
   KernelStatsSnapshot kernel;
-  /// Access-path pruning outcomes (engine.index.*): pages skipped via zone
-  /// maps / grid-file probes on marked scans.
+  /// Pages skipped via zone maps / grid-file probes on marked scans.
   IndexPruneCounters index;
-  /// Near-data pushdown outcomes (engine.pushdown.*): restricts executed
-  /// inside the buffer hierarchy on marked scans.
+  /// Restricts executed inside the buffer hierarchy on marked scans.
   PushdownCounters pushdown;
+  /// MC admission: per-query snapshots carry this query's own values;
+  /// batch and scheduler aggregates carry totals.
+  SchedCounters sched;
+  /// Storage-wide MVCC state observed at completion: the counting rows as
+  /// deltas since the scheduler started, the gauges absolute.
+  MvccStats mvcc;
   BufferStats buffer;
   /// Event trace of the run this snapshot belongs to, when
   /// ExecOptions::enable_trace was set (shared across the batch; events
@@ -135,15 +54,36 @@ struct ExecStats {
                : 0.0;
   }
 
+  /// Adds every counter family of \p o (gauges excepted); wall_seconds and
+  /// trace are left alone.
+  ExecStats& operator+=(const ExecStats& o);
+
   /// Backend-agnostic view (counters under `engine.*` / `storage.*`).
   obs::RunReport ToReport() const;
 
   std::string ToString() const;
 };
 
+/// \brief Thread-safe counters updated by worker threads: the atomic twins
+/// of ExecStats' families.
+struct EngineCounters : AtomicExecCounters {
+  KernelStats kernel;
+  IndexPruneStats index;
+  PushdownStats pushdown;
+
+  /// Relaxed loads of every family into the matching members of \p out.
+  void SnapshotInto(ExecStats* out) const {
+    static_cast<ExecCounters&>(*out) = Snapshot();
+    out->kernel = kernel.Snapshot();
+    out->index = index.Snapshot();
+    out->pushdown = pushdown.Snapshot();
+  }
+};
+
 /// Registers every ExecStats counter into \p registry under the
 /// observability naming scheme (`engine.tasks_executed`,
-/// `engine.arbitration_bytes`, `engine.faults.injected`, `storage.*`, ...).
+/// `engine.faults.injected`, `storage.cache_hits`, ...) plus the derived
+/// `engine.network_bytes`.
 void RegisterMetrics(const ExecStats& stats, obs::MetricsRegistry* registry);
 
 }  // namespace dfdb

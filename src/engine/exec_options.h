@@ -72,7 +72,12 @@ struct EngineFaultPlan {
   /// Workers that abandon mid-query and exit (clamped so at least one
   /// worker survives).
   int abandon_workers = 0;
-  /// A doomed worker abandons after claiming this many tasks.
+  /// Abandon point, counted in tasks claimed by the whole pool: the
+  /// workers taking claims abandon_after_tasks + 1 through
+  /// abandon_after_tasks + abandon_workers (clamped) each hand that task
+  /// back and exit. A handed-back task is claimed again, so a batch of
+  /// more than abandon_after_tasks tasks always loses exactly that many
+  /// workers, however the claims interleave.
   uint64_t abandon_after_tasks = 4;
   /// Corrupted no-op packets injected into the task queue.
   int poison_packets = 0;

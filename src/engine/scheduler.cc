@@ -375,14 +375,21 @@ class SchedulerImpl {
   /// Storage-wide MVCC stats attributed to this scheduler: monotone
   /// counters are reported as deltas since construction (so re-running an
   /// identical batch on warm storage exports identical counters), gauges
-  /// (snapshots_open, versions_live, last_commit_ts) stay absolute.
+  /// (snapshots_open, versions_live) stay absolute.
   MvccStats MvccDelta() const {
     MvccStats mv = storage_->mvcc_stats();
-    mv.snapshots_captured -= mvcc_baseline_.snapshots_captured;
-    mv.pages_copied -= mvcc_baseline_.pages_copied;
-    mv.gc_reclaimed -= mvcc_baseline_.gc_reclaimed;
-    mv.commits -= mvcc_baseline_.commits;
+    mv -= mvcc_baseline_;
     return mv;
+  }
+  /// Scheduler-wide admission totals (under admit_mu_).
+  SchedCounters SchedTotalsLocked() const {
+    SchedCounters s;
+    s.admitted = totals_.admitted_immediately;
+    s.queued = totals_.queued;
+    s.requeues = admission_.requeue_failures();
+    s.queue_wait_ns = totals_.queue_wait_ns;
+    s.skips = admission_.total_skips();
+    return s;
   }
   /// Builds the per-query ExecStats snapshot and fulfills the handle.
   void FulfillLocked(QueryRuntime* q);
@@ -407,6 +414,8 @@ class SchedulerImpl {
   std::atomic<size_t> enabled_packets_{0};
   std::atomic<int> busy_workers_{0};
   std::atomic<int> peak_busy_workers_{0};
+  /// Tasks claimed by the whole pool (EngineFaultPlan's abandon point).
+  std::atomic<uint64_t> claimed_tasks_{0};
 
   /// Taken for the full duration of Shutdown(); never taken under
   /// admit_mu_ (Shutdown acquires admit_mu_ inside it, not vice versa).
@@ -1569,60 +1578,20 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   ExecStats qs;
   qs.wall_seconds =
       std::chrono::duration<double>(q->completed_at - q->submitted_at).count();
-  qs.tasks_executed = q->counters.tasks_executed.load();
-  qs.packets = q->counters.packets.load();
-  qs.arbitration_bytes = q->counters.arbitration_bytes.load();
-  qs.distribution_bytes = q->counters.distribution_bytes.load();
-  qs.overhead_bytes = q->counters.overhead_bytes.load();
-  qs.pages_produced = q->counters.pages_produced.load();
-  qs.tuples_produced = q->counters.tuples_produced.load();
-  qs.pipeline_fused_edges = q->counters.pipeline_fused_edges.load();
-  qs.pipeline_materialized_edges =
-      q->counters.pipeline_materialized_edges.load();
-  qs.pipeline_pages_elided = q->counters.pipeline_pages_elided.load();
-  qs.pipeline_fused_pages = q->counters.pipeline_fused_pages.load();
-  qs.pipeline_runtime_fallbacks =
-      q->counters.pipeline_runtime_fallbacks.load();
-  qs.kernel = q->counters.kernel.Snapshot();
-  qs.index = q->counters.index.Snapshot();
-  qs.pushdown = q->counters.pushdown.Snapshot();
-  qs.sched_admitted = q->was_queued ? 0 : 1;
-  qs.sched_queued = q->was_queued ? 1 : 0;
-  qs.sched_requeues = q->failed_probes;
-  qs.sched_queue_wait_ns = q->queue_wait_ns;
-  qs.sched_skips = q->sched_skips;
+  q->counters.SnapshotInto(&qs);
+  qs.sched.admitted = q->was_queued ? 0 : 1;
+  qs.sched.queued = q->was_queued ? 1 : 0;
+  qs.sched.requeues = q->failed_probes;
+  qs.sched.queue_wait_ns = q->queue_wait_ns;
+  qs.sched.skips = q->sched_skips;
   // Storage-wide MVCC stats observed at this query's completion.
-  const MvccStats mv = MvccDelta();
-  qs.mvcc_snapshots_open = mv.snapshots_open;
-  qs.mvcc_snapshots_captured = mv.snapshots_captured;
-  qs.mvcc_versions_live = mv.versions_live;
-  qs.mvcc_pages_copied = mv.pages_copied;
-  qs.mvcc_gc_reclaimed = mv.gc_reclaimed;
-  qs.mvcc_commits = mv.commits;
+  qs.mvcc = MvccDelta();
 
   ++totals_.completed;
   totals_.queue_wait_ns += q->queue_wait_ns;
-  totals_.work.tasks_executed += qs.tasks_executed;
-  totals_.work.packets += qs.packets;
-  totals_.work.arbitration_bytes += qs.arbitration_bytes;
-  totals_.work.distribution_bytes += qs.distribution_bytes;
-  totals_.work.overhead_bytes += qs.overhead_bytes;
-  totals_.work.pages_produced += qs.pages_produced;
-  totals_.work.tuples_produced += qs.tuples_produced;
-  totals_.work.pipeline_fused_edges += qs.pipeline_fused_edges;
-  totals_.work.pipeline_materialized_edges += qs.pipeline_materialized_edges;
-  totals_.work.pipeline_pages_elided += qs.pipeline_pages_elided;
-  totals_.work.pipeline_fused_pages += qs.pipeline_fused_pages;
-  totals_.work.pipeline_runtime_fallbacks += qs.pipeline_runtime_fallbacks;
-  totals_.work.kernel.compiled_pages += qs.kernel.compiled_pages;
-  totals_.work.kernel.interpreted_pages += qs.kernel.interpreted_pages;
-  totals_.work.kernel.compile_fallbacks += qs.kernel.compile_fallbacks;
-  totals_.work.kernel.hash_joins += qs.kernel.hash_joins;
-  totals_.work.kernel.nested_joins += qs.kernel.nested_joins;
-  totals_.work.kernel.hash_build_collisions +=
-      qs.kernel.hash_build_collisions;
-  totals_.work.index += qs.index;
-  totals_.work.pushdown += qs.pushdown;
+  // AggregateStats replaces the summed sched and mvcc families with the
+  // scheduler-wide values.
+  totals_.work += qs;
 
   QueryState* state = q->state.get();
   {
@@ -1738,15 +1707,21 @@ void SchedulerImpl::MaybeReap(QueryRuntime* q) {
 
 void SchedulerImpl::WorkerLoop(int worker_index) {
   const EngineFaultPlan& fp = opts().fault_plan;
-  // Clamp so at least one worker survives to drain the queue.
-  const int doomed_count =
-      std::min(fp.abandon_workers, opts().num_processors - 1);
-  const bool doomed = worker_index < doomed_count;
-  uint64_t claimed = 0;
+  // Clamp so at least one worker survives to drain the queue. Claims are
+  // numbered across the pool, so the abandon point cannot be outrun by
+  // healthy workers draining the batch first; each abandoning worker exits,
+  // so every doomed claim lands on a different worker.
+  const uint64_t doomed_count = static_cast<uint64_t>(
+      std::max(0, std::min(fp.abandon_workers, opts().num_processors - 1)));
   for (;;) {
     auto task = queue_.Pop();
     if (!task.has_value()) return;
-    if (doomed && ++claimed > fp.abandon_after_tasks) {
+    const uint64_t claim =
+        doomed_count == 0
+            ? 0
+            : claimed_tasks_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (claim > fp.abandon_after_tasks &&
+        claim <= fp.abandon_after_tasks + doomed_count) {
       // Fail-stop at a packet boundary: the claimed task has not run, so
       // handing it back re-executes it from scratch on a survivor and the
       // results are exactly those of a healthy run.
@@ -1866,22 +1841,13 @@ ExecStats SchedulerImpl::AggregateStats() const {
   stats.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - run_start_)
                            .count();
-  stats.faults_injected = counters_.faults_injected.load();
-  stats.workers_abandoned = counters_.workers_abandoned.load();
-  stats.redispatched_tasks = counters_.redispatched_tasks.load();
-  stats.poison_dropped = counters_.poison_dropped.load();
-  stats.sched_admitted = totals_.admitted_immediately;
-  stats.sched_queued = totals_.queued;
-  stats.sched_requeues = admission_.requeue_failures();
-  stats.sched_queue_wait_ns = totals_.queue_wait_ns;
-  stats.sched_skips = admission_.total_skips();
-  const MvccStats mv = MvccDelta();
-  stats.mvcc_snapshots_open = mv.snapshots_open;
-  stats.mvcc_snapshots_captured = mv.snapshots_captured;
-  stats.mvcc_versions_live = mv.versions_live;
-  stats.mvcc_pages_copied = mv.pages_copied;
-  stats.mvcc_gc_reclaimed = mv.gc_reclaimed;
-  stats.mvcc_commits = mv.commits;
+  // Pool-wide counters: only the fault rows count there, and those are
+  // zero in the per-query totals.
+  ExecStats pool;
+  counters_.SnapshotInto(&pool);
+  stats += pool;
+  stats.sched = SchedTotalsLocked();
+  stats.mvcc = MvccDelta();
   stats.buffer = buffer_.stats();
   stats.trace = finished_trace_;
   return stats;
@@ -1889,15 +1855,13 @@ ExecStats SchedulerImpl::AggregateStats() const {
 
 void SchedulerImpl::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   std::lock_guard<std::mutex> lock(admit_mu_);
+  const SchedCounters sched = SchedTotalsLocked();
+  ExportCounters(registry, "engine.", sched, MvccDelta());
+  // engine.sched.requeues again, under the AdmissionQueue's own name.
+  registry->Set("engine.sched.requeue_failures", sched.requeues);
   registry->Set("engine.sched.submitted", totals_.submitted);
-  registry->Set("engine.sched.admitted", totals_.admitted_immediately);
-  registry->Set("engine.sched.queued", totals_.queued);
   registry->Set("engine.sched.completed", totals_.completed);
   registry->Set("engine.sched.cancelled", totals_.cancelled);
-  registry->Set("engine.sched.requeues", admission_.requeue_failures());
-  registry->Set("engine.sched.requeue_failures", admission_.requeue_failures());
-  registry->Set("engine.sched.skips", admission_.total_skips());
-  registry->Set("engine.sched.queue_wait_ns", totals_.queue_wait_ns);
   registry->Set("engine.sched.active_queries",
                 static_cast<uint64_t>(active_queries_));
   registry->Set("engine.sched.queue_depth",
@@ -1908,14 +1872,7 @@ void SchedulerImpl::SnapshotMetrics(obs::MetricsRegistry* registry) const {
                                               0, busy_workers_.load())));
   registry->Set("engine.sched.pool.peak_busy",
                 static_cast<uint64_t>(std::max(0, peak_busy_workers_.load())));
-  const MvccStats mv = MvccDelta();
-  registry->Set("engine.mvcc.snapshots_open", mv.snapshots_open);
-  registry->Set("engine.mvcc.snapshots_captured", mv.snapshots_captured);
-  registry->Set("engine.mvcc.versions_live", mv.versions_live);
-  registry->Set("engine.mvcc.pages_copied", mv.pages_copied);
-  registry->Set("engine.mvcc.gc_reclaimed", mv.gc_reclaimed);
-  registry->Set("engine.mvcc.commits", mv.commits);
-  registry->Set("engine.mvcc.last_commit_ts", mv.last_commit_ts);
+  registry->Set("engine.mvcc.last_commit_ts", storage_->last_commit_ts());
 }
 
 }  // namespace internal

@@ -101,7 +101,7 @@ class QueryHandle {
   StatusOr<QueryResult> Wait();
 
   /// Nanoseconds this query spent in the MC admission queue (0 when it was
-  /// admitted immediately; also readable from stats().sched_queue_wait_ns).
+  /// admitted immediately; also readable from stats().sched.queue_wait_ns).
   uint64_t queue_wait_ns() const;
 
  private:

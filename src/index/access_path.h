@@ -16,8 +16,8 @@
 
 #include <vector>
 
-#include "index/index_stats.h"
 #include "index/zone_map.h"
+#include "obs/counters.h"
 #include "ra/plan.h"
 #include "storage/storage_engine.h"
 

@@ -113,25 +113,6 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
-std::string FaultStats::ToString() const {
-  return StrFormat(
-      "faults=%llu (ip=%llu ic=%llu drop=%llu corrupt=%llu stall=%llu) "
-      "timeouts=%llu retries=%llu redispatch=%llu rehomed=%llu "
-      "backoff=%s stalled=%s",
-      static_cast<unsigned long long>(injected),
-      static_cast<unsigned long long>(ip_kills),
-      static_cast<unsigned long long>(ic_failures),
-      static_cast<unsigned long long>(packets_dropped),
-      static_cast<unsigned long long>(packets_corrupted),
-      static_cast<unsigned long long>(cache_stalls),
-      static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(redispatches),
-      static_cast<unsigned long long>(instructions_rehomed),
-      retry_ticks_lost.ToString().c_str(),
-      cache_stall_time.ToString().c_str());
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan), active_(!plan.events.empty()) {
   for (const FaultEvent& ev : plan_.events) {

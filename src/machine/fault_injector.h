@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "obs/counters.h"
 
 namespace dfdb {
 
@@ -97,25 +98,6 @@ struct FaultPlan {
   static FaultPlan RandomStorm(uint64_t seed, int ip_kills, int packet_faults,
                                SimTime horizon);
 
-  std::string ToString() const;
-};
-
-/// \brief Every recovery event, counted (lands in MachineReport::faults).
-struct FaultStats {
-  uint64_t injected = 0;           ///< Faults that actually fired.
-  uint64_t ip_kills = 0;
-  uint64_t ic_failures = 0;
-  uint64_t packets_dropped = 0;
-  uint64_t packets_corrupted = 0;
-  uint64_t cache_stalls = 0;
-  uint64_t timeouts = 0;           ///< IC acknowledgement timeouts.
-  uint64_t retries = 0;            ///< Same-IP retransmissions.
-  uint64_t redispatches = 0;       ///< Units re-dispatched to survivors.
-  uint64_t instructions_rehomed = 0;  ///< Instructions moved off a dead IC.
-  SimTime retry_ticks_lost;        ///< Simulated time burned in backoff.
-  SimTime cache_stall_time;        ///< Total injected stall window.
-
-  bool any() const { return injected > 0; }
   std::string ToString() const;
 };
 

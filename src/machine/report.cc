@@ -7,88 +7,14 @@ namespace dfdb {
 
 std::string MachineReport::ToString() const {
   std::string out = StrFormat(
-      "makespan=%s outer=%s inner=%s cache=%s disk=%s ipUtil=%.1f%% "
-      "(ipkt=%llu rpkt=%llu cpkt=%llu bcast=%llu events=%llu)",
+      "makespan=%s outer=%s inner=%s cache=%s disk=%s ipUtil=%.1f%%",
       makespan.ToString().c_str(), HumanBitsPerSecond(OuterRingBps()).c_str(),
       HumanBitsPerSecond(InnerRingBps()).c_str(),
       HumanBitsPerSecond(CacheBps()).c_str(),
-      HumanBitsPerSecond(DiskBps()).c_str(), IpUtilization() * 100.0,
-      static_cast<unsigned long long>(instruction_packets),
-      static_cast<unsigned long long>(result_packets),
-      static_cast<unsigned long long>(control_packets),
-      static_cast<unsigned long long>(broadcasts),
-      static_cast<unsigned long long>(events));
-  if (faults.any()) {
-    out += " | ";
-    out += faults.ToString();
-  }
-  if (pipeline_fused_edges > 0 || pipeline_runtime_fallbacks > 0) {
-    out += StrFormat(
-        " | pipeline: fused=%llu materialized=%llu elided=%llu "
-        "fused_pages=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(pipeline_fused_edges),
-        static_cast<unsigned long long>(pipeline_materialized_edges),
-        static_cast<unsigned long long>(pipeline_pages_elided),
-        static_cast<unsigned long long>(pipeline_fused_pages),
-        static_cast<unsigned long long>(pipeline_runtime_fallbacks));
-  }
-  if (index.any()) {
-    out += StrFormat(
-        " | index: pruned=%llu zonemap=%llu probes=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(index.pages_pruned),
-        static_cast<unsigned long long>(index.zonemap_hits),
-        static_cast<unsigned long long>(index.gridfile_probes),
-        static_cast<unsigned long long>(index.fallback_scans));
-  }
-  if (pushdown.any()) {
-    out += StrFormat(
-        " | pushdown: pages=%llu in=%llu out=%llu elided=%s fallbacks=%llu",
-        static_cast<unsigned long long>(pushdown.pages_filtered),
-        static_cast<unsigned long long>(pushdown.tuples_in),
-        static_cast<unsigned long long>(pushdown.tuples_out),
-        HumanBytes(static_cast<int64_t>(pushdown.bytes_elided)).c_str(),
-        static_cast<unsigned long long>(pushdown.fallbacks));
-  }
-  if (kernel.compiled_pages > 0 || kernel.interpreted_pages > 0 ||
-      kernel.hash_joins > 0 || kernel.nested_joins > 0) {
-    out += StrFormat(
-        " | kernel: compiled=%llu interpreted=%llu fallbacks=%llu "
-        "hash_joins=%llu nested_joins=%llu collisions=%llu",
-        static_cast<unsigned long long>(kernel.compiled_pages),
-        static_cast<unsigned long long>(kernel.interpreted_pages),
-        static_cast<unsigned long long>(kernel.compile_fallbacks),
-        static_cast<unsigned long long>(kernel.hash_joins),
-        static_cast<unsigned long long>(kernel.nested_joins),
-        static_cast<unsigned long long>(kernel.hash_build_collisions));
-  }
+      HumanBitsPerSecond(DiskBps()).c_str(), IpUtilization() * 100.0);
+  AppendCounters(&out, static_cast<const MachineCounters&>(*this), bytes,
+                 faults, kernel, index, pushdown);
   return out;
-}
-
-void RegisterMetrics(const LevelBytes& bytes, obs::MetricsRegistry* registry) {
-  registry->Set("machine.outer_ring_bytes", bytes.outer_ring);
-  registry->Set("machine.inner_ring_bytes", bytes.inner_ring);
-  registry->Set("machine.cache_to_ic_bytes", bytes.cache_to_ic);
-  registry->Set("machine.ic_to_cache_bytes", bytes.ic_to_cache);
-  registry->Set("machine.disk_read_bytes", bytes.disk_read);
-  registry->Set("machine.disk_write_bytes", bytes.disk_write);
-}
-
-void RegisterMetrics(const FaultStats& faults, obs::MetricsRegistry* registry) {
-  registry->Set("machine.faults.injected", faults.injected);
-  registry->Set("machine.faults.ip_kills", faults.ip_kills);
-  registry->Set("machine.faults.ic_failures", faults.ic_failures);
-  registry->Set("machine.faults.packets_dropped", faults.packets_dropped);
-  registry->Set("machine.faults.packets_corrupted", faults.packets_corrupted);
-  registry->Set("machine.faults.cache_stalls", faults.cache_stalls);
-  registry->Set("machine.faults.timeouts", faults.timeouts);
-  registry->Set("machine.faults.retries", faults.retries);
-  registry->Set("machine.faults.redispatches", faults.redispatches);
-  registry->Set("machine.faults.instructions_rehomed",
-                faults.instructions_rehomed);
-  registry->Set("machine.faults.retry_ns_lost",
-                static_cast<uint64_t>(faults.retry_ticks_lost.nanos()));
-  registry->Set("machine.faults.cache_stall_ns",
-                static_cast<uint64_t>(faults.cache_stall_time.nanos()));
 }
 
 obs::RunReport MachineReport::ToReport() const {
@@ -99,35 +25,9 @@ obs::RunReport MachineReport::ToReport() const {
   report.data_bytes = bytes.outer_ring;
   report.packets = instruction_packets + result_packets + control_packets;
   report.faults = faults.injected;
-  RegisterMetrics(bytes, &report.counters);
-  RegisterMetrics(faults, &report.counters);
-  report.counters.Set("machine.instruction_packets", instruction_packets);
-  report.counters.Set("machine.result_packets", result_packets);
-  report.counters.Set("machine.control_packets", control_packets);
-  report.counters.Set("machine.broadcasts", broadcasts);
-  report.counters.Set("machine.direct_routes", direct_routes);
-  report.counters.Set("machine.events", events);
-  report.counters.Set("machine.pipeline.fused_edges", pipeline_fused_edges);
-  report.counters.Set("machine.pipeline.materialized_edges",
-                      pipeline_materialized_edges);
-  report.counters.Set("machine.pipeline.pages_elided", pipeline_pages_elided);
-  report.counters.Set("machine.pipeline.fused_pages", pipeline_fused_pages);
-  report.counters.Set("machine.pipeline.runtime_fallbacks",
-                      pipeline_runtime_fallbacks);
-  report.counters.Set("machine.kernel.compiled_pages", kernel.compiled_pages);
-  report.counters.Set("machine.kernel.interpreted_pages",
-                      kernel.interpreted_pages);
-  report.counters.Set("machine.kernel.compile_fallbacks",
-                      kernel.compile_fallbacks);
-  report.counters.Set("machine.kernel.hash_joins", kernel.hash_joins);
-  report.counters.Set("machine.kernel.nested_joins", kernel.nested_joins);
-  report.counters.Set("machine.kernel.hash_build_collisions",
-                      kernel.hash_build_collisions);
-  report.counters.Set("machine.index.pages_pruned", index.pages_pruned);
-  report.counters.Set("machine.index.zonemap_hits", index.zonemap_hits);
-  report.counters.Set("machine.index.gridfile_probes", index.gridfile_probes);
-  report.counters.Set("machine.index.fallback_scans", index.fallback_scans);
-  RegisterPushdownMetrics(pushdown, "machine.pushdown.", &report.counters);
+  ExportCounters(&report.counters, "machine.",
+                 static_cast<const MachineCounters&>(*this), bytes, faults,
+                 kernel, index, pushdown);
   report.counters.Set("machine.num_ips", static_cast<uint64_t>(num_ips));
   report.counters.Set("machine.makespan_ns",
                       static_cast<uint64_t>(makespan.nanos()));

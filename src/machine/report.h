@@ -12,12 +12,10 @@
 #include "common/sim_time.h"
 #include "engine/exec_options.h"
 #include "engine/query_result.h"
-#include "index/index_stats.h"
 #include "machine/fault_injector.h"
+#include "obs/counters.h"
 #include "obs/run_report.h"
-#include "operators/kernels.h"
 #include "storage/device_model.h"
-#include "storage/pushdown.h"
 
 namespace dfdb {
 
@@ -75,53 +73,23 @@ struct MachineOptions {
   bool enable_trace = false;
 };
 
-/// \brief Bytes crossing each level of the machine (Figure 4.2's y-axis is
-/// these totals divided by the execution time).
-struct LevelBytes {
-  uint64_t outer_ring = 0;    ///< IC <-> IP instruction/result/control.
-  uint64_t inner_ring = 0;    ///< MC <-> IC control.
-  uint64_t cache_to_ic = 0;   ///< Disk cache -> IC local memory.
-  uint64_t ic_to_cache = 0;   ///< IC local memory -> disk cache (evictions).
-  uint64_t disk_read = 0;     ///< Mass storage -> disk cache.
-  uint64_t disk_write = 0;    ///< Disk cache -> mass storage.
-};
-
-/// \brief Everything measured by one simulation run.
-struct MachineReport {
+/// \brief Everything measured by one simulation run. Its counters are the
+/// machine.* rows of obs/counters.h: packet and event counts and the
+/// pipeline family as direct members, the other families grouped.
+struct MachineReport : MachineCounters {
   SimTime makespan;
   std::vector<SimTime> query_completion;  ///< Per query, submission order.
   LevelBytes bytes;
-  uint64_t instruction_packets = 0;
-  uint64_t result_packets = 0;
-  uint64_t control_packets = 0;
-  uint64_t broadcasts = 0;
-  /// Result pages routed IP -> IP without passing through an IC.
-  uint64_t direct_routes = 0;
-  uint64_t events = 0;
   SimTime ip_busy_total;
   int num_ips = 0;
-  /// Injected faults and the recovery work they caused.
   FaultStats faults;
-  /// Pipeline-fusion outcomes (machine.pipeline.*): edges folded at compile
-  /// time plus the staging-side filtering work they caused.
-  uint64_t pipeline_fused_edges = 0;
-  uint64_t pipeline_materialized_edges = 0;
-  /// Operand machine units delivered pre-filtered — units the folded
-  /// restrict would otherwise have produced, shipped, and repacked.
-  uint64_t pipeline_pages_elided = 0;
-  /// Raw pages filtered during staging compaction.
-  uint64_t pipeline_fused_pages = 0;
-  /// Marked edges the compiler could not fold.
-  uint64_t pipeline_runtime_fallbacks = 0;
-  /// Compiled-vs-interpreted kernel split at the IPs (machine.kernel.*).
+  /// Compiled-vs-interpreted kernel split at the IPs.
   KernelStatsSnapshot kernel;
-  /// Access-path pruning outcomes during IC staging (machine.index.*):
-  /// pages never fetched into the ring because a zone map or grid-file
-  /// probe proved them irrelevant.
+  /// Access-path pruning during IC staging: pages never fetched into the
+  /// ring because a zone map or grid-file probe proved them irrelevant.
   IndexPruneCounters index;
-  /// Near-data pushdown outcomes during IC staging (machine.pushdown.*):
-  /// raw pages filtered at the cache port, tuples in/out, and the
-  /// cache->IC transfer bytes elided because only survivors crossed.
+  /// Near-data pushdown during IC staging: raw pages filtered at the cache
+  /// port, so only survivors crossed cache -> IC.
   PushdownCounters pushdown;
   /// Root outputs with real tuples (the simulator is execution-driven).
   std::vector<QueryResult> results;
@@ -160,13 +128,6 @@ struct MachineReport {
 
   std::string ToString() const;
 };
-
-/// Registers LevelBytes under the observability naming scheme
-/// (`machine.outer_ring_bytes`, `machine.disk_read_bytes`, ...).
-void RegisterMetrics(const LevelBytes& bytes, obs::MetricsRegistry* registry);
-
-/// Registers FaultStats under `machine.faults.*`.
-void RegisterMetrics(const FaultStats& faults, obs::MetricsRegistry* registry);
 
 }  // namespace dfdb
 

@@ -1973,7 +1973,7 @@ void Sim::RetryAssignment(int instr_id, int ip_id, uint64_t assign_id,
   a.attempts++;
   report_.faults.retries++;
   Tr(obs::TraceEventKind::kFaultRecovered, instr_id, ip_id, a.wire, "retry");
-  report_.faults.retry_ticks_lost += backoff;
+  report_.faults.retry_ns_lost += static_cast<uint64_t>(backoff.nanos());
   report_.instruction_packets++;
   eq_.ScheduleAfter(backoff, [this, instr_id, ip_id, assign_id] {
     TransmitAssignment(instr_id, ip_id, assign_id);
@@ -2133,7 +2133,7 @@ void Sim::InjectCacheStall(SimTime duration) {
   report_.faults.injected++;
   report_.faults.cache_stalls++;
   Tr(obs::TraceEventKind::kFaultInjected, -1, -1, 0, "cache-stall");
-  report_.faults.cache_stall_time += duration;
+  report_.faults.cache_stall_ns += static_cast<uint64_t>(duration.nanos());
   cache_stall_until_ = std::max(cache_stall_until_, eq_.now() + duration);
 }
 

@@ -221,38 +221,8 @@ void Server::Stop() {
 }
 
 void Server::SnapshotMetrics(obs::MetricsRegistry* registry) const {
-  registry->Set("net.connections", counters_.connections_accepted.load());
-  registry->Set("net.connections.refused",
-                counters_.connections_refused.load());
+  ExportCounters(registry, "net.", counters_.Snapshot());
   registry->Set("net.connections.active", active_connections_.load());
-  registry->Set("net.requests", counters_.requests.load());
-  registry->Set("net.rejected", counters_.rejected.load());
-  registry->Set("net.invalid_requests", counters_.invalid_requests.load());
-  registry->Set("net.protocol_errors", counters_.protocol_errors.load());
-  registry->Set("net.deadline_expired", counters_.deadline_expired.load());
-  registry->Set("net.disconnects", counters_.disconnects.load());
-  registry->Set("net.orphaned_results", counters_.orphaned_results.load());
-  registry->Set("net.bytes_in", counters_.bytes_in.load());
-  registry->Set("net.bytes_out", counters_.bytes_out.load());
-  registry->Set("net.pings", counters_.pings.load());
-  registry->Set("net.exchange.fragments", counters_.fragments.load());
-  registry->Set("net.exchange.fragment_errors",
-                counters_.fragment_errors.load());
-  registry->Set("net.exchange.batches_in", counters_.exchange_batches_in.load());
-  registry->Set("net.exchange.batches_out",
-                counters_.exchange_batches_out.load());
-  registry->Set("net.exchange.bytes_in", counters_.exchange_bytes_in.load());
-  registry->Set("net.exchange.bytes_out", counters_.exchange_bytes_out.load());
-  registry->Set("net.exchange.credits_granted",
-                counters_.exchange_credits_granted.load());
-  registry->Set("net.exchange.credit_stalls",
-                counters_.exchange_credit_stalls.load());
-  registry->Set("net.exchange.credit_underflows",
-                counters_.exchange_credit_underflows.load());
-  registry->Set("net.exchange.unknown", counters_.exchange_unknown.load());
-  registry->Set("net.exchange.eofs", counters_.exchange_eofs.load());
-  registry->Set("net.exchange.broadcast_batches",
-                counters_.exchange_broadcast_batches.load());
   registry->Set("net.inflight", inflight_now_.load());
   registry->Set("net.max_inflight",
                 static_cast<uint64_t>(std::max(0, options_.max_inflight)));

@@ -41,6 +41,7 @@
 #include "common/status.h"
 #include "engine/scheduler.h"
 #include "net/protocol.h"
+#include "obs/counters.h"
 #include "obs/metrics.h"
 #include "ra/optimizer.h"
 #include "storage/storage_engine.h"
@@ -81,34 +82,13 @@ struct ServerOptions {
   SchedulerOptions scheduler;
 };
 
-/// \brief Monotonic server-wide counters, exported as net.* metrics.
+/// \brief Server-wide counters: the net.* rows of obs/counters.h.
+struct NetCounters {
+  DFDB_PLAIN_COUNTERS(NetCounters, DFDB_NET_COUNTERS)
+};
+/// Their relaxed-atomic twin, bumped by the event loop.
 struct ServerCounters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_refused{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> rejected{0};          ///< kRetryLater responses.
-  std::atomic<uint64_t> invalid_requests{0};  ///< Parse/analyze failures.
-  std::atomic<uint64_t> protocol_errors{0};   ///< Corrupt frames (conn closed).
-  std::atomic<uint64_t> deadline_expired{0};
-  std::atomic<uint64_t> disconnects{0};
-  std::atomic<uint64_t> orphaned_results{0};  ///< Completions with no client.
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> pings{0};
-
-  // Distributed fragment execution, exported as net.exchange.*.
-  std::atomic<uint64_t> fragments{0};          ///< kFragment frames accepted.
-  std::atomic<uint64_t> fragment_errors{0};    ///< Fragments answered kError.
-  std::atomic<uint64_t> exchange_batches_in{0};
-  std::atomic<uint64_t> exchange_batches_out{0};
-  std::atomic<uint64_t> exchange_bytes_in{0};   ///< Tuple payload only.
-  std::atomic<uint64_t> exchange_bytes_out{0};  ///< Tuple payload only.
-  std::atomic<uint64_t> exchange_credits_granted{0};
-  std::atomic<uint64_t> exchange_credit_stalls{0};  ///< Output waits on credit.
-  std::atomic<uint64_t> exchange_credit_underflows{0};
-  std::atomic<uint64_t> exchange_unknown{0};  ///< Frames for no such exchange.
-  std::atomic<uint64_t> exchange_eofs{0};
-  std::atomic<uint64_t> exchange_broadcast_batches{0};
+  DFDB_ATOMIC_COUNTERS(NetCounters, DFDB_NET_COUNTERS)
 };
 
 /// \brief TCP front door over one StorageEngine + resident Scheduler.

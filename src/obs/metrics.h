@@ -5,13 +5,8 @@
 /// updating their existing cheap counters (std::atomic in the engine,
 /// plain uint64 in the single-threaded simulator), and at run completion
 /// each stats struct registers its values here under one dotted naming
-/// scheme:
-///
-///   engine.*           EngineCounters / ExecStats
-///   engine.faults.*    EngineFaultPlan outcomes
-///   storage.*          BufferStats (threads-engine hierarchy)
-///   machine.*          LevelBytes + packet counters
-///   machine.faults.*   FaultStats
+/// scheme. The counter families and their keys are the table in
+/// obs/counters.h.
 ///
 /// Keys are stored in a sorted map so Snapshot() and ToJson() are
 /// deterministic.

@@ -4,6 +4,21 @@
 
 namespace dfdb {
 
+namespace {
+
+/// MIN/MAX order: Value::Compare, except that DOUBLEs compare by
+/// DoubleTotalOrderKey so no two distinct values tie.
+StatusOr<int> CompareMinMax(const Value& a, const Value& b) {
+  if (a.type() == ColumnType::kDouble && b.type() == ColumnType::kDouble) {
+    const int64_t x = DoubleTotalOrderKey(a.as_double());
+    const int64_t y = DoubleTotalOrderKey(b.as_double());
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  return a.Compare(b);
+}
+
+}  // namespace
+
 StatusOr<Aggregator> Aggregator::Create(const Schema& input_schema,
                                         const Schema& output_schema,
                                         const std::vector<std::string>& group_by,
@@ -77,7 +92,7 @@ Status Aggregator::Consume(const Page& page) {
           if (!agg.min.has_value()) {
             agg.min = v;
           } else {
-            DFDB_ASSIGN_OR_RETURN(int c, v.Compare(*agg.min));
+            DFDB_ASSIGN_OR_RETURN(int c, CompareMinMax(v, *agg.min));
             if (c < 0) agg.min = v;
           }
           break;
@@ -86,7 +101,7 @@ Status Aggregator::Consume(const Page& page) {
           if (!agg.max.has_value()) {
             agg.max = v;
           } else {
-            DFDB_ASSIGN_OR_RETURN(int c, v.Compare(*agg.max));
+            DFDB_ASSIGN_OR_RETURN(int c, CompareMinMax(v, *agg.max));
             if (c > 0) agg.max = v;
           }
           break;

@@ -8,6 +8,9 @@
 #ifndef DFDB_OPERATORS_AGGREGATOR_H_
 #define DFDB_OPERATORS_AGGREGATOR_H_
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,13 +26,23 @@
 
 namespace dfdb {
 
+/// IEEE 754 totalOrder as a signed key: -NaN < -inf < ... < -0.0 < +0.0 <
+/// ... < +inf < +NaN. Distinct bit patterns get distinct keys, so a DOUBLE
+/// MIN/MAX keeps the same value whatever order its inputs arrive in.
+inline int64_t DoubleTotalOrderKey(double d) {
+  int64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits ^ ((bits >> 63) & std::numeric_limits<int64_t>::max());
+}
+
 /// \brief The aggregate operator as both engines drive it: Consume() every
 /// input page (in any order), then Finish() once.
 ///
 /// Every implementation emits one tuple per group in the byte order of the
-/// encoded group columns, and its output does not depend on the order the
-/// pages arrived in, except for which of several MIN/MAX values that
-/// compare equal but differ in bytes (-0.0 and 0.0, NaNs) is kept.
+/// encoded group columns, and its output bytes do not depend on the order
+/// the pages arrived in: MIN/MAX over DOUBLE follow DoubleTotalOrderKey, so
+/// values that compare equal but differ in bytes (-0.0 and 0.0, NaNs) never
+/// tie.
 class AggregateKernel {
  public:
   virtual ~AggregateKernel() = default;

@@ -314,11 +314,13 @@ Status CompiledAggregate::Consume(const Page& page) {
       case Step::Kind::kMaxF64: {
         const bool is_min = step.kind == Step::Kind::kMinF64;
         for (int t = 0; t < n; ++t) {
-          // Value::Compare's rule: NaN and ±0 ties keep the current value.
+          // The Aggregator's rule: IEEE 754 totalOrder, so nothing ties.
           const double v = LoadF64(at(t), off);
           double cur;
           std::memcpy(&cur, &word(t), 8);
-          if (is_min ? v < cur : v > cur) std::memcpy(&word(t), &v, 8);
+          const int64_t kv = DoubleTotalOrderKey(v);
+          const int64_t kc = DoubleTotalOrderKey(cur);
+          if (is_min ? kv < kc : kv > kc) std::memcpy(&word(t), &v, 8);
         }
         break;
       }

@@ -12,10 +12,11 @@
 /// accumulators.
 ///
 /// The output is byte-identical to the Aggregator's: groups are emitted in
-/// the byte order of their key (the std::map order), MIN/MAX follow
-/// Value::Compare (numerically; the first value seen wins a tie), SUM over
-/// integers wraps in uint64_t, and SUM over DOUBLE and AVG share the
-/// Aggregator's ExactSum. operators_test fuzzes the two against each other.
+/// the byte order of their key (the std::map order), MIN/MAX compare
+/// integers numerically and DOUBLEs by DoubleTotalOrderKey (so -0.0 < 0.0
+/// and NaNs order by sign and payload), SUM over integers wraps in
+/// uint64_t, and SUM over DOUBLE and AVG share the Aggregator's ExactSum.
+/// operators_test fuzzes the two against each other.
 
 #ifndef DFDB_OPERATORS_COMPILED_AGGREGATE_H_
 #define DFDB_OPERATORS_COMPILED_AGGREGATE_H_

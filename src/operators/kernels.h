@@ -16,11 +16,11 @@
 #ifndef DFDB_OPERATORS_KERNELS_H_
 #define DFDB_OPERATORS_KERNELS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "catalog/schema.h"
+#include "obs/counters.h"
 #include "operators/page_sink.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
@@ -28,40 +28,6 @@
 #include "storage/tuple.h"
 
 namespace dfdb {
-
-/// \brief Plain copy of KernelStats for reporting.
-struct KernelStatsSnapshot {
-  uint64_t compiled_pages = 0;
-  uint64_t interpreted_pages = 0;
-  uint64_t compile_fallbacks = 0;
-  uint64_t hash_joins = 0;
-  uint64_t nested_joins = 0;
-  uint64_t hash_build_collisions = 0;
-};
-
-/// \brief Counters for the compiled-vs-interpreted kernel split, updated
-/// with relaxed atomics from concurrent workers. Engines embed one and
-/// export it as the `engine.kernel.*` / `machine.kernel.*` counter family.
-struct KernelStats {
-  std::atomic<uint64_t> compiled_pages{0};     ///< Pages run via a program.
-  std::atomic<uint64_t> interpreted_pages{0};  ///< Pages run via Expr::Eval.
-  std::atomic<uint64_t> compile_fallbacks{0};  ///< Predicates that refused to compile.
-  std::atomic<uint64_t> hash_joins{0};         ///< Page-pair joins on the hash path.
-  std::atomic<uint64_t> nested_joins{0};       ///< Page-pair joins on nested loops.
-  std::atomic<uint64_t> hash_build_collisions{0};  ///< Build-side slot probes.
-
-  KernelStatsSnapshot Snapshot() const {
-    KernelStatsSnapshot s;
-    s.compiled_pages = compiled_pages.load(std::memory_order_relaxed);
-    s.interpreted_pages = interpreted_pages.load(std::memory_order_relaxed);
-    s.compile_fallbacks = compile_fallbacks.load(std::memory_order_relaxed);
-    s.hash_joins = hash_joins.load(std::memory_order_relaxed);
-    s.nested_joins = nested_joins.load(std::memory_order_relaxed);
-    s.hash_build_collisions =
-        hash_build_collisions.load(std::memory_order_relaxed);
-    return s;
-  }
-};
 
 /// \brief Reusable hash-table scratch for the equijoin fast path. One per
 /// worker/kernel; JoinPages sizes it per inner page, so repeated calls do

@@ -3,32 +3,8 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace dfdb {
-
-std::string BufferStats::ToString() const {
-  return StrFormat(
-      "disk r/w: %s / %s, cache r/w: %s / %s, local hits: %llu",
-      HumanBytes(static_cast<int64_t>(disk_read_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(disk_write_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(cache_read_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(cache_write_bytes)).c_str(),
-      static_cast<unsigned long long>(local_hits));
-}
-
-void RegisterMetrics(const BufferStats& stats, obs::MetricsRegistry* registry) {
-  registry->Set("storage.disk_read_bytes", stats.disk_read_bytes);
-  registry->Set("storage.disk_write_bytes", stats.disk_write_bytes);
-  registry->Set("storage.disk_reads", stats.disk_reads);
-  registry->Set("storage.disk_writes", stats.disk_writes);
-  registry->Set("storage.cache_read_bytes", stats.cache_read_bytes);
-  registry->Set("storage.cache_write_bytes", stats.cache_write_bytes);
-  registry->Set("storage.cache_reads", stats.cache_reads);
-  registry->Set("storage.cache_writes", stats.cache_writes);
-  registry->Set("storage.cache_hits", stats.local_hits);
-}
 
 BufferManager::BufferManager(PageStore* store, int local_capacity_pages,
                              int cache_capacity_pages)

@@ -13,47 +13,14 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "obs/counters.h"
 #include "storage/page_store.h"
 #include "storage/pushdown.h"
 
 namespace dfdb {
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
-/// \brief Byte and operation counters across the hierarchy boundaries.
-struct BufferStats {
-  /// Mass storage <-> disk cache.
-  uint64_t disk_read_bytes = 0;
-  uint64_t disk_write_bytes = 0;
-  uint64_t disk_reads = 0;
-  uint64_t disk_writes = 0;
-  /// Disk cache <-> local memory.
-  uint64_t cache_read_bytes = 0;
-  uint64_t cache_write_bytes = 0;
-  uint64_t cache_reads = 0;
-  uint64_t cache_writes = 0;
-  /// Requests satisfied without any transfer.
-  uint64_t local_hits = 0;
-
-  uint64_t total_transferred_bytes() const {
-    return disk_read_bytes + disk_write_bytes + cache_read_bytes +
-           cache_write_bytes;
-  }
-
-  std::string ToString() const;
-};
-
-/// Registers every BufferStats counter into \p registry under the
-/// observability naming scheme: `storage.disk_read_bytes`,
-/// `storage.cache_reads`, ... (`local_hits` is exported as
-/// `storage.cache_hits`: a request satisfied at the top of the hierarchy).
-void RegisterMetrics(const BufferStats& stats, obs::MetricsRegistry* registry);
 
 /// \brief LRU-managed two-level cache over a PageStore.
 ///

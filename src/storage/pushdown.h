@@ -1,5 +1,5 @@
 /// \file pushdown.h
-/// \brief Near-data predicate pushdown interfaces and counters.
+/// \brief Near-data predicate pushdown interfaces.
 ///
 /// The paper's segmented per-IC disk cache (Section 4.1) exists so operand
 /// pages can be filtered close to where they live instead of saturating the
@@ -13,17 +13,10 @@
 #ifndef DFDB_STORAGE_PUSHDOWN_H_
 #define DFDB_STORAGE_PUSHDOWN_H_
 
-#include <atomic>
-#include <cstdint>
-
 #include "common/slice.h"
 #include "common/status.h"
 
 namespace dfdb {
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// \brief A predicate evaluated against raw tuple bytes at a storage level.
 ///
@@ -43,72 +36,6 @@ class PushdownSink {
   virtual ~PushdownSink() = default;
   virtual Status Emit(Slice tuple) = 0;
 };
-
-/// \brief Outcomes of pushed-down reads (plain snapshot).
-///
-/// Exported as `engine.pushdown.*` / `machine.pushdown.*` depending on the
-/// backend that accumulated them.
-struct PushdownCounters {
-  /// Pages whose restrict ran inside the storage hierarchy.
-  uint64_t pages_filtered = 0;
-  /// Tuples scanned at the device by pushed-down programs.
-  uint64_t tuples_in = 0;
-  /// Tuples that survived and crossed a level boundary.
-  uint64_t tuples_out = 0;
-  /// Bytes that never crossed the cache -> local (or ring) boundary
-  /// because the filter dropped their tuples at the device.
-  uint64_t bytes_elided = 0;
-  /// Plan-marked scans that fell back to the unfiltered path (predicate
-  /// refused compilation or the scan shape changed under it).
-  uint64_t fallbacks = 0;
-
-  PushdownCounters& operator+=(const PushdownCounters& o) {
-    pages_filtered += o.pages_filtered;
-    tuples_in += o.tuples_in;
-    tuples_out += o.tuples_out;
-    bytes_elided += o.bytes_elided;
-    fallbacks += o.fallbacks;
-    return *this;
-  }
-
-  bool any() const {
-    return pages_filtered != 0 || tuples_in != 0 || tuples_out != 0 ||
-           bytes_elided != 0 || fallbacks != 0;
-  }
-};
-
-/// \brief Thread-safe accumulator for PushdownCounters.
-struct PushdownStats {
-  std::atomic<uint64_t> pages_filtered{0};
-  std::atomic<uint64_t> tuples_in{0};
-  std::atomic<uint64_t> tuples_out{0};
-  std::atomic<uint64_t> bytes_elided{0};
-  std::atomic<uint64_t> fallbacks{0};
-
-  void Add(const PushdownCounters& c) {
-    pages_filtered.fetch_add(c.pages_filtered, std::memory_order_relaxed);
-    tuples_in.fetch_add(c.tuples_in, std::memory_order_relaxed);
-    tuples_out.fetch_add(c.tuples_out, std::memory_order_relaxed);
-    bytes_elided.fetch_add(c.bytes_elided, std::memory_order_relaxed);
-    fallbacks.fetch_add(c.fallbacks, std::memory_order_relaxed);
-  }
-
-  PushdownCounters Snapshot() const {
-    PushdownCounters c;
-    c.pages_filtered = pages_filtered.load(std::memory_order_relaxed);
-    c.tuples_in = tuples_in.load(std::memory_order_relaxed);
-    c.tuples_out = tuples_out.load(std::memory_order_relaxed);
-    c.bytes_elided = bytes_elided.load(std::memory_order_relaxed);
-    c.fallbacks = fallbacks.load(std::memory_order_relaxed);
-    return c;
-  }
-};
-
-/// Registers every counter under \p prefix, e.g. `engine.pushdown.` ->
-/// `engine.pushdown.pages_filtered`, `engine.pushdown.bytes_elided`, ...
-void RegisterPushdownMetrics(const PushdownCounters& counters,
-                             const char* prefix,
-                             obs::MetricsRegistry* registry);
 
 }  // namespace dfdb
 

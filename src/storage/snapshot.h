@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "obs/counters.h"
 #include "storage/page.h"
 #include "storage/relation_ref.h"
 
@@ -87,17 +88,6 @@ class Snapshot {
   explicit Snapshot(std::shared_ptr<State> state) : state_(std::move(state)) {}
 
   std::shared_ptr<State> state_;
-};
-
-/// \brief Storage-wide MVCC statistics (the engine.mvcc.* counter family).
-struct MvccStats {
-  uint64_t snapshots_open = 0;      ///< Live (unreleased) snapshots.
-  uint64_t snapshots_captured = 0;  ///< Lifetime captures.
-  uint64_t versions_live = 0;       ///< Version records across heap files.
-  uint64_t pages_copied = 0;        ///< Copy-on-write page rewrites.
-  uint64_t gc_reclaimed = 0;        ///< Retired pages freed by version GC.
-  uint64_t commits = 0;             ///< Versions installed.
-  uint64_t last_commit_ts = 0;      ///< Current commit clock.
 };
 
 /// \brief Shared atomic counters behind MvccStats, owned by the

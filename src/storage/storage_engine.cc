@@ -118,7 +118,6 @@ MvccStats StorageEngine::mvcc_stats() const {
     std::lock_guard<std::mutex> lock(snap_mu_);
     stats.snapshots_open = open_snapshots_.size();
     stats.snapshots_captured = snapshots_captured_;
-    stats.last_commit_ts = last_commit_ts_;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -27,7 +27,9 @@ TEST(BufferManagerTest, LocalHitIsFree) {
   (void)p;
   const BufferStats stats = buffer.stats();
   EXPECT_EQ(stats.local_hits, 1u);
-  EXPECT_EQ(stats.total_transferred_bytes(), 0u);
+  EXPECT_EQ(stats.disk_read_bytes + stats.disk_write_bytes +
+                stats.cache_read_bytes + stats.cache_write_bytes,
+            0u);
 }
 
 TEST(BufferManagerTest, EvictionCascadesToCacheThenDisk) {

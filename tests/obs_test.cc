@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/run.h"
+#include "engine/scheduler.h"
 #include "machine/simulator.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -86,6 +87,136 @@ TEST(MetricsRegistryTest, SetAddGetAndSortedExport) {
   const std::string text = registry.ToString();
   EXPECT_NE(text.find("engine.tasks_executed"), std::string::npos);
   EXPECT_NE(text.find("machine.outer_ring_bytes"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Exported counter names
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> KeysOf(const obs::MetricsRegistry& registry) {
+  std::vector<std::string> keys;
+  for (const auto& [name, value] : registry.counters()) keys.push_back(name);
+  return keys;
+}
+
+// Golden key lists: benches, baselines and dashboards read these names, so
+// a rename or a dropped counter must show up here as a deliberate edit.
+TEST(CounterNamesTest, ExportedKeyListsAreStable) {
+  EXPECT_EQ(KeysOf(ExecStats{}.ToReport().counters),
+            (std::vector<std::string>{
+      "engine.arbitration_bytes", "engine.distribution_bytes",
+      "engine.faults.injected", "engine.faults.poison_dropped",
+      "engine.faults.redispatched_tasks", "engine.faults.workers_abandoned",
+      "engine.index.fallback_scans", "engine.index.gridfile_probes",
+      "engine.index.pages_pruned", "engine.index.zonemap_hits",
+      "engine.kernel.compile_fallbacks", "engine.kernel.compiled_pages",
+      "engine.kernel.hash_build_collisions", "engine.kernel.hash_joins",
+      "engine.kernel.interpreted_pages", "engine.kernel.nested_joins",
+      "engine.mvcc.commits", "engine.mvcc.gc_reclaimed",
+      "engine.mvcc.pages_copied", "engine.mvcc.snapshots_captured",
+      "engine.mvcc.snapshots_open", "engine.mvcc.versions_live",
+      "engine.network_bytes", "engine.overhead_bytes", "engine.packets",
+      "engine.pages_produced", "engine.pipeline.fused_edges",
+      "engine.pipeline.fused_pages", "engine.pipeline.materialized_edges",
+      "engine.pipeline.pages_elided", "engine.pipeline.runtime_fallbacks",
+      "engine.pushdown.bytes_elided", "engine.pushdown.fallbacks",
+      "engine.pushdown.pages_filtered", "engine.pushdown.tuples_in",
+      "engine.pushdown.tuples_out", "engine.sched.admitted",
+      "engine.sched.queue_wait_ns", "engine.sched.queued",
+      "engine.sched.requeues", "engine.sched.skips", "engine.tasks_executed",
+      "engine.tuples_produced", "storage.cache_hits",
+      "storage.cache_read_bytes", "storage.cache_reads",
+      "storage.cache_write_bytes", "storage.cache_writes",
+      "storage.disk_read_bytes", "storage.disk_reads",
+      "storage.disk_write_bytes", "storage.disk_writes"}));
+
+  EXPECT_EQ(KeysOf(MachineReport{}.ToReport().counters),
+            (std::vector<std::string>{
+      "machine.broadcasts", "machine.cache_to_ic_bytes",
+      "machine.control_packets", "machine.direct_routes",
+      "machine.disk_read_bytes", "machine.disk_write_bytes", "machine.events",
+      "machine.faults.cache_stall_ns", "machine.faults.cache_stalls",
+      "machine.faults.ic_failures", "machine.faults.injected",
+      "machine.faults.instructions_rehomed", "machine.faults.ip_kills",
+      "machine.faults.packets_corrupted", "machine.faults.packets_dropped",
+      "machine.faults.redispatches", "machine.faults.retries",
+      "machine.faults.retry_ns_lost", "machine.faults.timeouts",
+      "machine.ic_to_cache_bytes", "machine.index.fallback_scans",
+      "machine.index.gridfile_probes", "machine.index.pages_pruned",
+      "machine.index.zonemap_hits", "machine.inner_ring_bytes",
+      "machine.instruction_packets", "machine.ip_busy_ns",
+      "machine.kernel.compile_fallbacks", "machine.kernel.compiled_pages",
+      "machine.kernel.hash_build_collisions", "machine.kernel.hash_joins",
+      "machine.kernel.interpreted_pages", "machine.kernel.nested_joins",
+      "machine.makespan_ns", "machine.num_ips", "machine.outer_ring_bytes",
+      "machine.pipeline.fused_edges", "machine.pipeline.fused_pages",
+      "machine.pipeline.materialized_edges", "machine.pipeline.pages_elided",
+      "machine.pipeline.runtime_fallbacks", "machine.pushdown.bytes_elided",
+      "machine.pushdown.fallbacks", "machine.pushdown.pages_filtered",
+      "machine.pushdown.tuples_in", "machine.pushdown.tuples_out",
+      "machine.result_packets"}));
+
+  StorageEngine storage(/*default_page_bytes=*/2000);
+  Scheduler scheduler(&storage, ExecOptions{});
+  obs::MetricsRegistry live;
+  scheduler.SnapshotMetrics(&live);
+  EXPECT_EQ(KeysOf(live), (std::vector<std::string>{
+      "engine.mvcc.commits", "engine.mvcc.gc_reclaimed",
+      "engine.mvcc.last_commit_ts", "engine.mvcc.pages_copied",
+      "engine.mvcc.snapshots_captured", "engine.mvcc.snapshots_open",
+      "engine.mvcc.versions_live", "engine.sched.active_queries",
+      "engine.sched.admitted", "engine.sched.cancelled",
+      "engine.sched.completed", "engine.sched.pool.busy",
+      "engine.sched.pool.peak_busy", "engine.sched.pool.workers",
+      "engine.sched.queue_depth", "engine.sched.queue_wait_ns",
+      "engine.sched.queued", "engine.sched.requeue_failures",
+      "engine.sched.requeues", "engine.sched.skips",
+      "engine.sched.submitted"}));
+}
+
+// The families both backends share: every table row is exported by both,
+// under the same key after the backend prefix.
+TEST(CounterNamesTest, SharedFamiliesExportOnBothBackends) {
+  const obs::RunReport engine = ExecStats{}.ToReport();
+  const obs::RunReport machine = MachineReport{}.ToReport();
+  int rows = 0;
+#define EXPECT_ON_BOTH(member, key, kind, help)                         \
+  EXPECT_TRUE(engine.counters.Get("engine." key).has_value()) << key;   \
+  EXPECT_TRUE(machine.counters.Get("machine." key).has_value()) << key; \
+  ++rows;
+  DFDB_PIPELINE_COUNTERS(EXPECT_ON_BOTH)
+  DFDB_KERNEL_COUNTERS(EXPECT_ON_BOTH)
+  DFDB_INDEX_COUNTERS(EXPECT_ON_BOTH)
+  DFDB_PUSHDOWN_COUNTERS(EXPECT_ON_BOTH)
+#undef EXPECT_ON_BOTH
+  EXPECT_EQ(rows, 20);
+}
+
+TEST(CounterTableTest, SumsSkipGaugesAndToStringShowsNonZeroRows) {
+  MvccStats a;
+  a.snapshots_open = 3;  // Gauge.
+  a.commits = 5;
+  MvccStats b;
+  b.snapshots_open = 7;
+  b.commits = 2;
+  a += b;
+  EXPECT_EQ(a.snapshots_open, 3u);
+  EXPECT_EQ(a.commits, 7u);
+  a -= b;
+  EXPECT_EQ(a.snapshots_open, 3u);
+  EXPECT_EQ(a.commits, 5u);
+  EXPECT_TRUE(a.any());
+  EXPECT_FALSE(MvccStats{}.any());
+  EXPECT_EQ(a.ToString(), "mvcc.snapshots_open=3 mvcc.commits=5");
+
+  SchedCounters sched;
+  sched.queue_wait_ns = 2500000;
+  BufferStats buffer;
+  buffer.disk_read_bytes = 2048;
+  std::string out = "head";
+  AppendCounters(&out, sched, BufferStats{}, buffer);
+  EXPECT_EQ(out,
+            "head | sched.queue_wait_ns=2.500ms | disk_read_bytes=2.00 KB");
 }
 
 // ---------------------------------------------------------------------------

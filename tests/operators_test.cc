@@ -589,9 +589,7 @@ Value RandomKeyValue(const Column& col, Random* rng) {
 }
 
 /// An aggregated value: the full ranges, so integer SUMs overflow and wrap
-/// and double SUMs span every exponent. Doubles are never NaN or -0.0:
-/// MIN/MAX keep the first of two values that compare equal, so those would
-/// make the result depend on page order by design.
+/// and double SUMs span every exponent, plus ±0.0 and NaNs of both signs.
 Value RandomAggValue(const Column& col, Random* rng) {
   switch (col.type) {
     case ColumnType::kInt32:
@@ -602,11 +600,17 @@ Value RandomAggValue(const Column& col, Random* rng) {
                               ? static_cast<int64_t>(rng->Uniform(100)) - 50
                               : static_cast<int64_t>(rng->Next()));
     case ColumnType::kDouble:
-      switch (rng->Uniform(8)) {
+      switch (rng->Uniform(10)) {
         case 0:
           return Value::Double(rng->Bernoulli(0.5)
                                    ? std::numeric_limits<double>::infinity()
                                    : 0.0);
+        case 8:
+          return Value::Double(rng->Bernoulli(0.5) ? -0.0 : 0.0);
+        case 9: {
+          const double nan = std::numeric_limits<double>::quiet_NaN();
+          return Value::Double(rng->Bernoulli(0.5) ? -nan : nan);
+        }
         case 1:
           return Value::Double(RandomWideDouble(rng, 0));  // Subnormal.
         case 2:

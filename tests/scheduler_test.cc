@@ -75,9 +75,9 @@ TEST_F(SchedulerTest, SubmitRunsOneQuery) {
   ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
   ExpectSameResult(expected, result);
   // Admitted with no contention: the per-query stats say so, exactly.
-  EXPECT_EQ(result.stats().sched_admitted, 1u);
-  EXPECT_EQ(result.stats().sched_queued, 0u);
-  EXPECT_EQ(result.stats().sched_queue_wait_ns, 0u);
+  EXPECT_EQ(result.stats().sched.admitted, 1u);
+  EXPECT_EQ(result.stats().sched.queued, 0u);
+  EXPECT_EQ(result.stats().sched.queue_wait_ns, 0u);
   EXPECT_EQ(handle.queue_wait_ns(), 0u);
 }
 
@@ -143,7 +143,7 @@ TEST_F(SchedulerTest, ConcurrentSubmitFromManyThreads) {
   }
 
   ExecStats totals = scheduler.AggregateStats();
-  EXPECT_EQ(totals.sched_admitted + totals.sched_queued,
+  EXPECT_EQ(totals.sched.admitted + totals.sched.queued,
             static_cast<uint64_t>(kClientThreads * kPerThread));
 }
 
@@ -173,7 +173,7 @@ TEST_F(SchedulerTest, ConflictingWritersSerializeOnSharedPool) {
   uint64_t queued = 0;
   for (auto& h : handles) {
     ASSERT_OK_AND_ASSIGN(QueryResult r, h.Wait());
-    queued += r.stats().sched_queued;
+    queued += r.stats().sched.queued;
   }
   scheduler.Shutdown();
 
@@ -188,8 +188,8 @@ TEST_F(SchedulerTest, ConflictingWritersSerializeOnSharedPool) {
   // Every writer but the first waited behind another.
   EXPECT_EQ(queued, static_cast<uint64_t>(kWriters - 1));
   ExecStats totals = scheduler.AggregateStats();
-  EXPECT_EQ(totals.sched_queued, queued);
-  EXPECT_GT(totals.sched_queue_wait_ns, 0u);
+  EXPECT_EQ(totals.sched.queued, queued);
+  EXPECT_GT(totals.sched.queue_wait_ns, 0u);
 }
 
 TEST_F(SchedulerTest, DeferredSingleWorkerReplayIsDeterministic) {
@@ -375,13 +375,13 @@ TEST_F(SchedulerTest, QueueWaitIsMeasuredForQueuedQueries) {
   }
   scheduler.Start();
   ASSERT_OK_AND_ASSIGN(QueryResult first_result, first.Wait());
-  EXPECT_EQ(first_result.stats().sched_queued, 0u);
-  EXPECT_EQ(first_result.stats().sched_queue_wait_ns, 0u);
+  EXPECT_EQ(first_result.stats().sched.queued, 0u);
+  EXPECT_EQ(first_result.stats().sched.queue_wait_ns, 0u);
   for (auto& h : rest) {
     ASSERT_OK_AND_ASSIGN(QueryResult r, h.Wait());
-    EXPECT_EQ(r.stats().sched_queued, 1u);
-    EXPECT_GT(r.stats().sched_queue_wait_ns, 0u);
-    EXPECT_EQ(h.queue_wait_ns(), r.stats().sched_queue_wait_ns);
+    EXPECT_EQ(r.stats().sched.queued, 1u);
+    EXPECT_GT(r.stats().sched.queue_wait_ns, 0u);
+    EXPECT_EQ(h.queue_wait_ns(), r.stats().sched.queue_wait_ns);
   }
   scheduler.Shutdown();
 }

@@ -4,6 +4,10 @@
 
 #include "machine/simulator.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/reference.h"
@@ -174,6 +178,47 @@ TEST_F(SimulatorTest, DoubleAggregatesIdenticalOnEveryBackendAndPageOrder) {
                            RunQuery(storage_.get(), *plan, opts));
       ExpectSameResult(expected, actual);
     }
+  }
+}
+
+TEST(MinMaxOrderTest, DoubleMinMaxIgnorePageOrderOnEveryBackend) {
+  // One tuple per page, so reversing the rows reverses the page order the
+  // aggregate sees. NaN against 1.0 and -0.0 against 0.0 compare equal
+  // numerically; IEEE 754 totalOrder still picks one of each pair.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<AggregateSpec> specs;
+  specs.push_back({AggregateSpec::Func::kMin, "v", "lo"});
+  specs.push_back({AggregateSpec::Func::kMax, "v", "hi"});
+  PlanNodePtr plan = MakeAggregate(MakeScan("d"), {}, specs);
+  for (const std::vector<double>& rows :
+       {std::vector<double>{nan, 1.0}, std::vector<double>{0.0, -0.0}}) {
+    std::vector<std::vector<std::string>> results;
+    for (bool reversed : {false, true}) {
+      StorageEngine storage(/*default_page_bytes=*/8);
+      ASSERT_OK(storage.CreateRelation(
+          "d", Schema::CreateOrDie({Column::Double("v")})).status());
+      ASSERT_OK_AND_ASSIGN(HeapFile * file, storage.GetHeapFile("d"));
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_OK(file->Append(
+            {Value::Double(rows[reversed ? rows.size() - 1 - i : i])}));
+      }
+      ASSERT_OK(storage.SyncStats("d"));
+      ReferenceExecutor reference(&storage);
+      ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+      results.push_back(::dfdb::testing::ResultMultiset(expected));
+      MachineOptions mopts;
+      mopts.config.page_bytes = 8;
+      MachineSimulator sim(&storage, mopts);
+      ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run({plan.get()}));
+      ExpectSameResult(expected, report.results[0]);
+      ExecOptions eopts;
+      eopts.num_processors = 1;
+      eopts.page_bytes = 8;
+      ASSERT_OK_AND_ASSIGN(QueryResult engine,
+                           RunQuery(&storage, *plan, eopts));
+      ExpectSameResult(expected, engine);
+    }
+    EXPECT_EQ(results[0], results[1]);
   }
 }
 

@@ -171,9 +171,9 @@ TEST_F(SnapshotSchedulerTest, ReaderStampedBeforeWriterSeesOldBytes) {
 
   ExpectSameResult(pre_writer, reader_result);
   // The reader never touched the admission queue.
-  EXPECT_EQ(reader_result.stats().sched_queued, 0u);
-  EXPECT_EQ(reader_result.stats().sched_queue_wait_ns, 0u);
-  EXPECT_GE(reader_result.stats().mvcc_snapshots_captured, 2u);
+  EXPECT_EQ(reader_result.stats().sched.queued, 0u);
+  EXPECT_EQ(reader_result.stats().sched.queue_wait_ns, 0u);
+  EXPECT_GE(reader_result.stats().mvcc.snapshots_captured, 2u);
 
   // The head moved on: a fresh scan sees the post-delete state.
   ASSERT_OK_AND_ASSIGN(QueryResult del_oracle,
@@ -248,7 +248,7 @@ TEST_F(SnapshotSchedulerTest, ConcurrentDeleteAndScanDifferential) {
       ASSERT_OK(r.status());
       ExpectSameResult(expected, *r);
       // Snapshot mode: readers admit immediately, always.
-      EXPECT_EQ(r->stats().sched_queued, 0u);
+      EXPECT_EQ(r->stats().sched.queued, 0u);
     }
   }
 
@@ -304,7 +304,7 @@ TEST_F(SnapshotSchedulerTest, BarrierModeStillQueuesReaders) {
   ASSERT_OK_AND_ASSIGN(QueryResult reader_result, reader.Wait());
   scheduler.Shutdown();
 
-  EXPECT_EQ(reader_result.stats().sched_queued, 1u);
+  EXPECT_EQ(reader_result.stats().sched.queued, 1u);
   ExpectSameResult(post_writer, reader_result);
 }
 

@@ -244,7 +244,7 @@ Comparison CompareAggregate(const char* name,
   for (const PagePtr& page : d.pages) {
     tuples += static_cast<uint64_t>(page->num_tuples());
   }
-  auto pass = [&](AggregateKernel* kernel) {
+  auto pass = [&](auto* kernel) {
     return BestSeconds(reps, [&] {
       for (const PagePtr& page : d.pages) DFDB_CHECK_OK(kernel->Consume(*page));
       CountingSink sink;

@@ -102,6 +102,10 @@ Coordinator::~Coordinator() = default;
 
 Status Coordinator::Connect() {
   std::lock_guard<std::mutex> lock(mu_);
+  return DialClosedWorkers();
+}
+
+Status Coordinator::DialClosedWorkers() {
   if (options_.workers.empty()) {
     return Status::InvalidArgument("coordinator has no workers");
   }
@@ -133,17 +137,12 @@ void Coordinator::SnapshotMetrics(obs::MetricsRegistry* registry) const {
 StatusOr<net::RemoteResult> Coordinator::Execute(const std::string& text) {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.queries.fetch_add(1, std::memory_order_relaxed);
-  for (const net::Client& w : workers_) {
-    if (!w.connected()) {
-      counters_.errors.fetch_add(1, std::memory_order_relaxed);
-      return Status::FailedPrecondition(
-          "coordinator is not connected to all workers (call Connect)");
-    }
-  }
   auto fail = [&](Status s) -> Status {
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return s;
   };
+  Status dialed = DialClosedWorkers();
+  if (!dialed.ok()) return fail(dialed);
   auto parsed = ParseQuery(text);
   if (!parsed.ok()) return fail(parsed.status());
 

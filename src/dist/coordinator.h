@@ -87,7 +87,9 @@ class Coordinator {
   Status Connect();
 
   /// Runs one RAQL query across the cluster and reassembles the gathered
-  /// result. Read-only queries only.
+  /// result. Read-only queries only. A failed query closes every worker
+  /// connection, so Execute first dials any worker whose connection is
+  /// closed: one failed query does not take the cluster down.
   StatusOr<net::RemoteResult> Execute(const std::string& text);
 
   int num_workers() const { return static_cast<int>(options_.workers.size()); }
@@ -99,6 +101,8 @@ class Coordinator {
  private:
   struct Run;  // Per-query routing state (defined in coordinator.cc).
 
+  /// Connect()'s loop; the caller holds mu_.
+  Status DialClosedWorkers();
   StatusOr<net::RemoteResult> RunPlan(const DistributedPlan& plan);
 
   const Catalog* catalog_;

@@ -24,7 +24,7 @@
 ///
 /// Fragments reference their inputs as scans of coordinator-named temp
 /// relations (`__exq<id>`), which workers materialize from kExchangeData
-/// frames before executing the fragment text (net/server.cc).
+/// frames before executing the fragment text (net/fragment_host.h).
 
 #ifndef DFDB_DIST_FRAGMENT_H_
 #define DFDB_DIST_FRAGMENT_H_

@@ -1,27 +1,21 @@
 #include "dist/front_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "net/protocol.h"
+#include "net/server.h"
 
 namespace dfdb {
 namespace dist {
 
 namespace {
-
-Status Errno(const char* what) {
-  return Status::Unavailable(StrFormat("%s: %s", what, std::strerror(errno)));
-}
 
 bool SendAll(int fd, const std::string& bytes) {
   size_t off = 0;
@@ -37,12 +31,6 @@ bool SendAll(int fd, const std::string& bytes) {
   return true;
 }
 
-net::WireError StatusToWire(const Status& s) {
-  if (s.IsInvalidArgument()) return net::WireError::kInvalidRequest;
-  if (s.IsFailedPrecondition()) return net::WireError::kRetryLater;
-  return net::WireError::kInternal;
-}
-
 }  // namespace
 
 FrontServer::FrontServer(Coordinator* coordinator, FrontServerOptions options)
@@ -54,34 +42,9 @@ FrontServer::~FrontServer() { Stop(); }
 
 Status FrontServer::Start() {
   if (started_) return Status::FailedPrecondition("front server started");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument(
-        StrFormat("cannot parse bind address '%s'", options_.host.c_str()));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, options_.backlog) != 0) {
-    Status s = Errno("bind/listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  DFDB_ASSIGN_OR_RETURN(listen_fd_,
+                        net::ListenTcp(options_.host, options_.port,
+                                       options_.backlog, &port_));
   started_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -151,6 +114,10 @@ void FrontServer::ServeConnection(int fd) {
       if (!next->has_value()) break;
       const net::Frame& frame = **next;
       const uint32_t rid = frame.header.request_id;
+      auto send_error = [&](net::WireError code, std::string_view message) {
+        const net::ErrorMessage error{code, std::string(message)};
+        return SendAll(fd, net::EncodeErrorFrame(rid, error));
+      };
       switch (static_cast<net::Opcode>(frame.header.opcode)) {
         case net::Opcode::kPing:
           alive = SendAll(fd, net::EncodePongFrame(rid));
@@ -158,20 +125,14 @@ void FrontServer::ServeConnection(int fd) {
         case net::Opcode::kQuery: {
           auto query = net::DecodeQuery(Slice(frame.body));
           if (!query.ok()) {
-            alive = SendAll(
-                fd, net::EncodeErrorFrame(
-                        rid, net::ErrorMessage{
-                                 net::WireError::kInvalidRequest,
-                                 std::string(query.status().message())}));
+            alive = send_error(net::WireError::kInvalidRequest,
+                               query.status().message());
             break;
           }
           auto result = coordinator_->Execute(query->text);
           if (!result.ok()) {
-            alive = SendAll(
-                fd, net::EncodeErrorFrame(
-                        rid, net::ErrorMessage{
-                                 StatusToWire(result.status()),
-                                 std::string(result.status().message())}));
+            alive = send_error(net::StatusToWireError(result.status()),
+                               result.status().message());
             break;
           }
           alive = SendAll(fd, net::EncodeSchemaFrame(rid, result->schema));
@@ -195,22 +156,14 @@ void FrontServer::ServeConnection(int fd) {
             net::StatsMessage stats;
             stats.total_rows = result->num_tuples;
             stats.seconds = result->server_seconds;
-            const DistCounters& c = coordinator_->counters();
-            stats.counters["dist.fragments"] =
-                c.fragments_dispatched.load(std::memory_order_relaxed);
-            stats.counters["dist.batches_routed"] =
-                c.batches_routed.load(std::memory_order_relaxed);
-            stats.counters["dist.bytes_shuffled"] =
-                c.bytes_shuffled.load(std::memory_order_relaxed);
+            stats.counters = result->counters;
             alive = SendAll(fd, net::EncodeStatsFrame(rid, stats));
           }
           break;
         }
         default:
-          alive = SendAll(
-              fd, net::EncodeErrorFrame(
-                      rid, net::ErrorMessage{net::WireError::kInvalidRequest,
-                                             "unsupported opcode"}));
+          alive = send_error(net::WireError::kInvalidRequest,
+                             "unsupported opcode");
           break;
       }
       if (!alive) break;

@@ -123,7 +123,7 @@ struct NodeState {
 
   // kAggregate.
   std::mutex agg_mu;
-  std::unique_ptr<AggregateKernel> aggregator;
+  std::optional<CompiledAggregate> aggregator;
 
   // --- producer-side events (called by the child's edge wiring) ---
   void OnPage(int slot, PendingPage p);
@@ -1266,9 +1266,9 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
       break;
     }
     case PlanOp::kAggregate: {
-      auto agg = MakeAggregateKernel(n->child(0).output_schema,
-                                     n->output_schema, n->columns,
-                                     n->aggregates);
+      auto agg = CompiledAggregate::Compile(n->child(0).output_schema,
+                                            n->output_schema, n->columns,
+                                            n->aggregates);
       if (!agg.ok()) {
         setup = agg.status();
       } else {

@@ -152,7 +152,7 @@ struct InstrRt {
   JoinScratch join_scratch;
 
   // Barrier-operator state.
-  std::unique_ptr<AggregateKernel> agg;
+  std::unique_ptr<CompiledAggregate> agg;
   DuplicateEliminator dedup;
   DifferenceOp diff;
   uint64_t delete_matches = 0;
@@ -227,13 +227,14 @@ class Sim {
   void InitBarrierState(InstrRt* ir) {
     const MachineInstruction& def = *ir->def;
     if (def.op == PlanOp::kAggregate) {
-      auto agg = MakeAggregateKernel(def.operands[0].schema, def.output_schema,
+      auto agg =
+          CompiledAggregate::Compile(def.operands[0].schema, def.output_schema,
                                      def.node->columns, def.node->aggregates);
       if (!agg.ok()) {
         Fail(agg.status());
         return;
       }
-      ir->agg = *std::move(agg);
+      ir->agg = std::make_unique<CompiledAggregate>(*std::move(agg));
     }
   }
 
@@ -658,37 +659,18 @@ void Sim::StartStaging(int instr_id, int slot) {
       }
     }
   }
-  const Snapshot& snap = query_snapshots_[ir.def->query_index];
-  if (snap.valid()) {
-    auto view = snap.View(rel);
-    if (!view.ok()) {
-      Fail(view.status().WithContext("staging snapshot view " + rel));
-      CompleteOperand(instr_id, slot);
-      return;
-    }
-    const uint64_t commit_ts = view->commit_ts;
-    auto ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
-    if (scan != nullptr) {
-      *ids = PruneScanPages(storage_, *scan, *ids, commit_ts,
-                            /*allow_gridfile=*/true, &report_.index);
-    }
-    StageNextRawPage(instr_id, slot, ids, 0);
-    return;
-  }
-  // Fallback (no snapshot stamped): read the live head. Grid-file probes
-  // need a version timestamp to cache against, so only zone maps apply.
-  auto file = storage_->GetHeapFile(rel);
-  if (!file.ok()) {
-    Fail(file.status().WithContext("staging " + rel));
+  // Every query reads the snapshot TryAdmitWaiting stamped on it.
+  auto view = query_snapshots_[ir.def->query_index].View(rel);
+  if (!view.ok()) {
+    Fail(view.status().WithContext("staging snapshot view " + rel));
     CompleteOperand(instr_id, slot);
     return;
   }
-  Status flushed = (*file)->Flush();
-  if (!flushed.ok()) Fail(flushed);
-  auto ids = std::make_shared<std::vector<PageId>>((*file)->PageIds());
+  const uint64_t commit_ts = view->commit_ts;
+  auto ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
   if (scan != nullptr) {
-    *ids = PruneScanPages(storage_, *scan, *ids, /*view_commit_ts=*/0,
-                          /*allow_gridfile=*/false, &report_.index);
+    *ids = PruneScanPages(storage_, *scan, *ids, commit_ts,
+                          /*allow_gridfile=*/true, &report_.index);
   }
   StageNextRawPage(instr_id, slot, ids, 0);
 }

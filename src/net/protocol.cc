@@ -209,6 +209,16 @@ bool IsKnownOpcode(uint8_t op) {
          op <= static_cast<uint8_t>(Opcode::kExchangeCredit);
 }
 
+WireError StatusToWireError(const Status& status) {
+  if (status.IsInvalidArgument() || status.IsNotFound()) {
+    return WireError::kInvalidRequest;
+  }
+  if (status.IsUnavailable() || status.IsCancelled()) {
+    return WireError::kShuttingDown;
+  }
+  return WireError::kInternal;
+}
+
 Status WireErrorToStatus(WireError code, const std::string& message) {
   switch (code) {
     case WireError::kInvalidRequest:

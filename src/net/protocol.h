@@ -94,8 +94,13 @@ enum class WireError : uint8_t {
   kInternal = 5,          ///< Execution failure.
 };
 
+/// Maps an engine/planner status onto a wire error: InvalidArgument and
+/// NotFound → kInvalidRequest, Unavailable and Cancelled → kShuttingDown,
+/// anything else → kInternal. Every server front door answers with it.
+WireError StatusToWireError(const Status& status);
+
 /// Maps a wire error onto the repo's StatusCode vocabulary (the inverse of
-/// Server's status→wire mapping): kRetryLater → ResourceExhausted,
+/// StatusToWireError): kRetryLater → ResourceExhausted,
 /// kDeadlineExceeded → Aborted, kShuttingDown → Unavailable, ...
 Status WireErrorToStatus(WireError code, const std::string& message);
 
@@ -152,8 +157,8 @@ struct ErrorMessage {
 
 /// Exchange flow control: credits initially granted to a sender per
 /// exchange. One credit allows one kExchangeData frame; the receiver grants
-/// credits back (kExchangeCredit) as it consumes batches. Sending with zero
-/// outstanding credit is a protocol violation (credit underflow).
+/// credits back (kExchangeCredit) as it consumes batches, and a sender
+/// holds batches back while it has none.
 inline constexpr uint32_t kExchangeInitialCredits = 8;
 
 /// How a fragment routes its output stream.

@@ -24,12 +24,12 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "operators/exchange.h"
 #include "ra/parser.h"
 
 namespace dfdb {
@@ -46,17 +46,6 @@ Status Errno(const char* what) {
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Engine/planner status → wire error category.
-WireError StatusToWireError(const Status& status) {
-  if (status.IsInvalidArgument() || status.IsNotFound()) {
-    return WireError::kInvalidRequest;
-  }
-  if (status.IsUnavailable() || status.IsCancelled()) {
-    return WireError::kShuttingDown;
-  }
-  return WireError::kInternal;
 }
 
 }  // namespace
@@ -86,51 +75,14 @@ struct Server::LoopState {
     uint64_t conn_id = 0;
     uint32_t request_id = 0;
     QueryHandle handle;
-    bool has_deadline = false;
-    SteadyClock::time_point deadline{};
+    std::optional<SteadyClock::time_point> deadline;
     bool orphaned = false;
-    /// Non-zero: this query is a distributed fragment; completion routes
-    /// through the exchange-output path keyed by (conn_id, exchange id).
-    uint32_t fragment_exchange_id = 0;
-    bool is_fragment = false;
-  };
-
-  /// One plan fragment a coordinator pushed via kFragment. Inputs stream
-  /// into coordinator-named temp relations; once every input is EOF the
-  /// fragment text runs as an ordinary query, and the finished result is
-  /// re-partitioned into kExchangeData frames released one per output
-  /// credit, terminated by kStats.
-  struct FragmentState {
-    uint64_t conn_id = 0;
-    uint32_t request_id = 0;
-    FragmentRequest spec;
-    std::vector<std::string> temp_relations;  // Dropped on completion.
-    int inputs_pending = 0;
-    bool submitted = false;
-    bool done = false;                 // Query finished; only streaming left.
-    std::deque<std::string> pending;   // Encoded kExchangeData frames.
-    std::string terminal;              // Encoded kStats or kError frame.
-    uint32_t out_credits = 0;          // Output credits granted by the peer.
-  };
-
-  /// One inbound exchange stream feeding a fragment's temp relation.
-  struct ExchangeInput {
-    std::pair<uint64_t, uint32_t> fragment_key;
-    std::string relation;
-    HeapFile* heap = nullptr;  // Borrowed; valid until the temp is dropped.
-    uint32_t tuple_width = 0;
-    uint32_t sender_credits = kExchangeInitialCredits;
-    bool eof = false;
+    /// Set for a distributed fragment: its FragmentHost answers it.
+    std::optional<FragmentKey> fragment;
   };
 
   std::map<uint64_t, Connection> conns;
   std::vector<InFlight> inflight;
-  /// Keyed by (conn id, output exchange id) — exchange ids are unique per
-  /// coordinator, and isolating by connection keeps coordinators from
-  /// colliding with each other.
-  std::map<std::pair<uint64_t, uint32_t>, FragmentState> fragments;
-  /// Keyed by (conn id, input exchange id).
-  std::map<std::pair<uint64_t, uint32_t>, ExchangeInput> exchange_inputs;
   uint64_t next_conn_id = 1;
 };
 
@@ -144,44 +96,44 @@ Server::Server(StorageEngine* storage, ServerOptions options)
 
 Server::~Server() { Stop(); }
 
+StatusOr<int> ListenTcp(const std::string& host, uint16_t port, int backlog,
+                        uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Errno("socket");
+  const int one = 1;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    return Status::InvalidArgument(
+        StrFormat("cannot parse bind address '%s'", host.c_str()));
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, backlog) != 0) {
+    Status s = Errno("bind/listen");
+    ::close(fd);
+    return Status::Unavailable(std::string(s.message()));
+  }
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
+      0) {
+    *bound_port = ntohs(bound.sin_port);
+  }
+  return fd;
+}
+
 Status Server::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return Status::FailedPrecondition("server already started");
   if (stopped_) return Status::FailedPrecondition("server already stopped");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument(
-        StrFormat("cannot parse bind address '%s'", options_.host.c_str()));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status s = Errno("bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Unavailable(std::string(s.message()));
-  }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
-    Status s = Errno("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Unavailable(std::string(s.message()));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  DFDB_ASSIGN_OR_RETURN(
+      listen_fd_,
+      ListenTcp(options_.host, options_.port, options_.backlog, &port_));
   if (!SetNonBlocking(listen_fd_) || ::pipe(wake_fds_) != 0 ||
       !SetNonBlocking(wake_fds_[0])) {
     ::close(listen_fd_);
@@ -235,39 +187,19 @@ void Server::SnapshotMetrics(obs::MetricsRegistry* registry) const {
 
 void Server::Loop() {
   LoopState state;
+  // Drops every temp relation left when the loop exits.
+  FragmentHost fragments(storage_, options_.max_frame_bytes, &counters_);
 
-  auto send_frame = [&](LoopState::Connection& conn, std::string frame) {
-    if (conn.dead) return;
-    conn.outq.push_back(std::move(frame));
-  };
-
+  // Only live connections get frames: a dead one orphaned its requests and
+  // is reaped before it is polled again.
   auto send_error = [&](LoopState::Connection& conn, uint32_t request_id,
                         WireError code, std::string message) {
-    send_frame(conn, EncodeErrorFrame(
-                         request_id, ErrorMessage{code, std::move(message)}));
-  };
-
-  // Tears one fragment down: drops its temp relations, unregisters its
-  // input streams, erases its state. Safe to call with a stale key.
-  auto cleanup_fragment = [&](const std::pair<uint64_t, uint32_t>& key) {
-    auto it = state.fragments.find(key);
-    if (it == state.fragments.end()) return;
-    for (const std::string& rel : it->second.temp_relations) {
-      (void)storage_->DropRelation(rel);
-    }
-    for (auto in = state.exchange_inputs.begin();
-         in != state.exchange_inputs.end();) {
-      if (in->second.fragment_key == key) {
-        in = state.exchange_inputs.erase(in);
-      } else {
-        ++in;
-      }
-    }
-    state.fragments.erase(it);
+    conn.outq.push_back(EncodeErrorFrame(
+        request_id, ErrorMessage{code, std::move(message)}));
   };
 
   // Closes the socket and orphans the connection's in-flight requests.
-  // The map entry survives until retired requests stop referencing it.
+  // The map entry goes at the top of the next loop round.
   auto drop_conn = [&](LoopState::Connection& conn) {
     if (conn.dead) return;
     conn.dead = true;
@@ -279,72 +211,72 @@ void Server::Loop() {
     for (auto& req : state.inflight) {
       if (req.conn_id == conn.id) req.orphaned = true;
     }
-    // Fragments still running stay until the engine finishes (the orphaned
-    // InFlight reaps them); everything else is torn down now.
-    std::vector<std::pair<uint64_t, uint32_t>> dead_frags;
-    for (const auto& [key, frag] : state.fragments) {
-      if (key.first == conn.id && (!frag.submitted || frag.done)) {
-        dead_frags.push_back(key);
-      }
-    }
-    for (const auto& key : dead_frags) cleanup_fragment(key);
+    fragments.DropConnection(conn.id);
   };
 
-  auto handle_query = [&](LoopState::Connection& conn, uint32_t request_id,
-                          Slice body) {
-    counters_.requests.fetch_add(1, std::memory_order_relaxed);
-    auto query = DecodeQuery(body);
-    if (!query.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 query.status().ToString());
+  // Streams one completed result: schema, one rows frame per result page,
+  // then the terminal stats frame carrying the per-query counters.
+  auto respond_result = [&](LoopState::Connection& conn, uint32_t request_id,
+                            const QueryResult& result) {
+    conn.outq.push_back(EncodeSchemaFrame(request_id, result.schema()));
+    for (const PagePtr& page : result.pages()) {
+      if (page->num_tuples() == 0) continue;
+      RowsBatch batch;
+      batch.num_tuples = static_cast<uint32_t>(page->num_tuples());
+      batch.tuple_width = static_cast<uint32_t>(page->tuple_width());
+      batch.tuples.reserve(static_cast<size_t>(page->payload_bytes()));
+      for (int i = 0; i < page->num_tuples(); ++i) {
+        const Slice t = page->tuple(i);
+        batch.tuples.append(t.data(), t.size());
+      }
+      conn.outq.push_back(EncodeRowsFrame(request_id, batch));
+    }
+    conn.outq.push_back(EncodeResultStatsFrame(request_id, result));
+  };
+
+  // Answers one finished request, or one that could not be submitted. A
+  // fragment's answer goes through its host; conn is null when nobody
+  // reads the answer anymore.
+  auto answer = [&](LoopState::Connection* conn, uint32_t request_id,
+                    const std::optional<FragmentKey>& fragment,
+                    const StatusOr<QueryResult>& result) {
+    if (fragment.has_value()) {
+      fragments.Complete(*fragment, result,
+                         conn != nullptr ? &conn->outq : nullptr);
       return;
     }
-    if (draining_.load(std::memory_order_acquire)) {
-      send_error(conn, request_id, WireError::kShuttingDown,
-                 "server is draining");
-      return;
+    if (conn == nullptr) return;
+    if (result.ok()) {
+      respond_result(*conn, request_id, *result);
+    } else {
+      send_error(*conn, request_id, StatusToWireError(result.status()),
+                 result.status().ToString());
     }
-    if (inflight_now_.load(std::memory_order_relaxed) >=
-        static_cast<uint64_t>(std::max(0, options_.max_inflight))) {
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kRetryLater,
-                 StrFormat("admission cap of %d in-flight requests reached",
-                           options_.max_inflight));
-      return;
-    }
-    auto parsed = ParseQuery(query->text);
-    if (!parsed.ok()) {
-      counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 parsed.status().ToString());
-      return;
-    }
-    auto optimized = optimizer_.Optimize(**parsed);
-    if (!optimized.ok()) {
-      counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 optimized.status().ToString());
-      return;
-    }
-    auto handle = scheduler_.Submit(**optimized);
+  };
+
+  // Plans and submits a query or a ready fragment; the sweep answers it.
+  auto submit = [&](LoopState::Connection& conn, uint32_t request_id,
+                    const std::string& text, uint32_t deadline_ms,
+                    const std::optional<FragmentKey>& fragment) {
+    StatusOr<QueryHandle> handle = [&]() -> StatusOr<QueryHandle> {
+      DFDB_ASSIGN_OR_RETURN(PlanNodePtr parsed, ParseQuery(text));
+      DFDB_ASSIGN_OR_RETURN(PlanNodePtr optimized,
+                            optimizer_.Optimize(*parsed));
+      return scheduler_.Submit(*optimized);
+    }();
     if (!handle.ok()) {
-      const WireError code = StatusToWireError(handle.status());
-      if (code == WireError::kInvalidRequest) {
+      if (StatusToWireError(handle.status()) == WireError::kInvalidRequest) {
         counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
       }
-      send_error(conn, request_id, code, handle.status().ToString());
+      answer(&conn, request_id, fragment, handle.status());
       return;
     }
     LoopState::InFlight req;
     req.conn_id = conn.id;
     req.request_id = request_id;
     req.handle = *std::move(handle);
-    const uint32_t deadline_ms = query->deadline_ms != 0
-                                     ? query->deadline_ms
-                                     : options_.default_deadline_ms;
+    req.fragment = fragment;
     if (deadline_ms != 0) {
-      req.has_deadline = true;
       req.deadline =
           SteadyClock::now() + std::chrono::milliseconds(deadline_ms);
     }
@@ -352,350 +284,94 @@ void Server::Loop() {
     inflight_now_.fetch_add(1, std::memory_order_relaxed);
   };
 
-  // Runs a fragment whose inputs are all materialized: commits the temp
-  // relations, then plans and submits the fragment text like any query.
   // Fragments bypass the admission cap — a coordinator is a trusted peer
   // whose fan-out its own configuration bounds, and rejecting one fragment
   // of a distributed query would waste the whole shuffle.
-  auto submit_fragment = [&](LoopState::Connection& conn,
-                             const std::pair<uint64_t, uint32_t>& key) {
-    LoopState::FragmentState& frag = state.fragments.at(key);
-    frag.submitted = true;
-    auto fail = [&](const Status& status) {
-      counters_.fragment_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, frag.request_id, StatusToWireError(status),
-                 status.ToString());
-      cleanup_fragment(key);
-    };
-    for (const std::string& rel : frag.temp_relations) {
-      Status s = storage_->SyncStats(rel);
-      if (!s.ok()) return fail(s);
+  auto submit_ready = [&](LoopState::Connection& conn,
+                          std::optional<ReadyFragment> ready) {
+    if (ready.has_value()) {
+      submit(conn, ready->request_id, ready->text, ready->deadline_ms,
+             ready->key);
     }
-    auto parsed = ParseQuery(frag.spec.text);
-    if (!parsed.ok()) {
-      counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
-      return fail(parsed.status());
-    }
-    auto optimized = optimizer_.Optimize(**parsed);
-    if (!optimized.ok()) {
-      counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
-      return fail(optimized.status());
-    }
-    auto handle = scheduler_.Submit(**optimized);
-    if (!handle.ok()) return fail(handle.status());
-    LoopState::InFlight req;
-    req.conn_id = conn.id;
-    req.request_id = frag.request_id;
-    req.handle = *std::move(handle);
-    req.is_fragment = true;
-    req.fragment_exchange_id = key.second;
-    if (frag.spec.deadline_ms != 0) {
-      req.has_deadline = true;
-      req.deadline = SteadyClock::now() +
-                     std::chrono::milliseconds(frag.spec.deadline_ms);
-    }
-    state.inflight.push_back(std::move(req));
-    inflight_now_.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  // Releases staged output batches, one per granted credit; once drained,
-  // sends the terminal stats/error frame and tears the fragment down.
-  auto flush_fragment_output = [&](LoopState::Connection& conn,
-                                   const std::pair<uint64_t, uint32_t>& key) {
-    auto it = state.fragments.find(key);
-    if (it == state.fragments.end()) return;
-    LoopState::FragmentState& frag = it->second;
-    if (!frag.done) return;
-    while (frag.out_credits > 0 && !frag.pending.empty()) {
-      counters_.exchange_batches_out.fetch_add(1, std::memory_order_relaxed);
-      send_frame(conn, std::move(frag.pending.front()));
-      frag.pending.pop_front();
-      --frag.out_credits;
-    }
-    if (!frag.pending.empty()) {
-      counters_.exchange_credit_stalls.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    send_frame(conn, std::move(frag.terminal));
-    cleanup_fragment(key);
-  };
-
-  // Splits a completed fragment result into partition-routed kExchangeData
-  // frames (staged, credit-released) plus the terminal kStats frame.
-  auto stage_fragment_output = [&](LoopState::FragmentState& frag,
-                                   const QueryResult& result) -> Status {
-    const Schema& schema = result.schema();
-    const int width = schema.tuple_width();
-    const uint32_t exchange_id = frag.spec.output_exchange_id;
-    const size_t batch_bytes = std::min<size_t>(
-        64 * 1024, std::max<uint32_t>(1024, options_.max_frame_bytes / 2));
-    auto emit = [&](int partition, uint32_t num_tuples, std::string bytes) {
-      counters_.exchange_bytes_out.fetch_add(bytes.size(),
-                                             std::memory_order_relaxed);
-      ExchangeBatch out;
-      out.exchange_id = exchange_id;
-      out.partition_id = static_cast<uint32_t>(partition);
-      out.num_tuples = num_tuples;
-      out.tuple_width = static_cast<uint32_t>(width);
-      out.tuples = std::move(bytes);
-      frag.pending.push_back(EncodeExchangeDataFrame(frag.request_id, out));
-    };
-    ExchangeKey key;
-    int partitions = static_cast<int>(frag.spec.output_partitions);
-    ExchangePartitioner::Emit route = emit;
-    if (frag.spec.output_mode == ExchangeMode::kPartition) {
-      std::vector<int> cols(frag.spec.output_key_cols.begin(),
-                            frag.spec.output_key_cols.end());
-      DFDB_ASSIGN_OR_RETURN(key, ExchangeKey::FromColumns(schema, cols));
-      if (key.empty()) {
-        return Status::InvalidArgument(
-            "partition-mode fragment without key columns");
-      }
-    } else if (frag.spec.output_mode == ExchangeMode::kBroadcast) {
-      // Batch once, then duplicate every batch to all consumers.
-      const int fanout = partitions;
-      partitions = 1;
-      route = [&, fanout](int, uint32_t num_tuples, std::string bytes) {
-        for (int p = 0; p < fanout; ++p) {
-          counters_.exchange_broadcast_batches.fetch_add(
-              1, std::memory_order_relaxed);
-          emit(p, num_tuples, bytes);
-        }
-      };
-    } else {
-      partitions = 1;  // kGather: one consumer stream.
-    }
-    ExchangePartitioner partitioner(partitions, std::move(key), width,
-                                    batch_bytes, route);
-    for (const PagePtr& page : result.pages()) {
-      for (int i = 0; i < page->num_tuples(); ++i) {
-        partitioner.Add(page->tuple(i));
-      }
-    }
-    partitioner.Flush();
-    StatsMessage stats;
-    stats.total_rows = result.num_tuples();
-    stats.seconds = result.stats().wall_seconds;
-    obs::MetricsRegistry registry;
-    RegisterMetrics(result.stats(), &registry);
-    stats.counters = registry.counters();
-    frag.terminal = EncodeStatsFrame(frag.request_id, stats);
-    return Status::OK();
-  };
-
-  auto handle_fragment = [&](LoopState::Connection& conn, uint32_t request_id,
-                             Slice body) {
-    auto decoded = DecodeFragment(body);
-    if (!decoded.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 decoded.status().ToString());
-      return;
-    }
-    if (draining_.load(std::memory_order_acquire)) {
-      send_error(conn, request_id, WireError::kShuttingDown,
-                 "server is draining");
-      return;
-    }
-    const auto key = std::make_pair(conn.id, decoded->output_exchange_id);
-    if (state.fragments.count(key) != 0) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 StrFormat("duplicate fragment exchange id %u",
-                           decoded->output_exchange_id));
-      return;
-    }
-    counters_.fragments.fetch_add(1, std::memory_order_relaxed);
-    LoopState::FragmentState& frag = state.fragments[key];
-    frag.conn_id = conn.id;
-    frag.request_id = request_id;
-    frag.spec = *std::move(decoded);
-    frag.out_credits = frag.spec.output_credits;
-    auto fail = [&](const Status& status) {
-      counters_.fragment_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, StatusToWireError(status),
-                 status.ToString());
-      cleanup_fragment(key);
-    };
-    for (const FragmentInput& input : frag.spec.inputs) {
-      const auto in_key = std::make_pair(conn.id, input.exchange_id);
-      if (state.exchange_inputs.count(in_key) != 0) {
-        return fail(Status::InvalidArgument(
-            StrFormat("duplicate input exchange id %u", input.exchange_id)));
-      }
-      auto id = storage_->CreateRelation(input.relation, input.schema);
-      if (!id.ok()) return fail(id.status());
-      frag.temp_relations.push_back(input.relation);
-      auto heap = storage_->GetHeapFile(*id);
-      if (!heap.ok()) return fail(heap.status());
-      LoopState::ExchangeInput in;
-      in.fragment_key = key;
-      in.relation = input.relation;
-      in.heap = *heap;
-      in.tuple_width = static_cast<uint32_t>(input.schema.tuple_width());
-      state.exchange_inputs.emplace(in_key, std::move(in));
-    }
-    frag.inputs_pending = static_cast<int>(frag.spec.inputs.size());
-    if (frag.inputs_pending == 0) submit_fragment(conn, key);
-  };
-
-  auto handle_exchange_data = [&](LoopState::Connection& conn,
-                                  uint32_t request_id, Slice body) {
-    auto batch = DecodeExchangeData(body);
-    if (!batch.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 batch.status().ToString());
-      return;
-    }
-    auto it = state.exchange_inputs.find({conn.id, batch->exchange_id});
-    if (it == state.exchange_inputs.end()) {
-      counters_.exchange_unknown.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 StrFormat("no open exchange input %u", batch->exchange_id));
-      return;
-    }
-    LoopState::ExchangeInput& in = it->second;
-    if (in.eof) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 "exchange data after EOF");
-      return;
-    }
-    if (in.sender_credits == 0) {
-      counters_.exchange_credit_underflows.fetch_add(1,
-                                                     std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 "exchange credit underflow: batch sent without credit");
-      return;
-    }
-    if (batch->tuple_width != in.tuple_width) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 StrFormat("exchange tuple width %u != schema width %u",
-                           batch->tuple_width, in.tuple_width));
-      return;
-    }
-    --in.sender_credits;
-    for (uint32_t i = 0; i < batch->num_tuples; ++i) {
-      Status s = in.heap->AppendEncoded(
-          Slice(batch->tuples.data() +
-                    static_cast<size_t>(i) * batch->tuple_width,
-                batch->tuple_width));
-      if (!s.ok()) {
-        const auto frag_key = in.fragment_key;
-        auto fit = state.fragments.find(frag_key);
-        counters_.fragment_errors.fetch_add(1, std::memory_order_relaxed);
-        send_error(conn,
-                   fit != state.fragments.end() ? fit->second.request_id
-                                                : request_id,
-                   WireError::kInternal, s.ToString());
-        cleanup_fragment(frag_key);
-        return;
-      }
-    }
-    counters_.exchange_batches_in.fetch_add(1, std::memory_order_relaxed);
-    counters_.exchange_bytes_in.fetch_add(batch->tuples.size(),
-                                          std::memory_order_relaxed);
-    // The batch is consumed synchronously, so its credit goes straight
-    // back to the sender.
-    ++in.sender_credits;
-    counters_.exchange_credits_granted.fetch_add(1, std::memory_order_relaxed);
-    send_frame(conn,
-               EncodeExchangeCreditFrame(
-                   request_id, ExchangeCreditMessage{batch->exchange_id, 1}));
-  };
-
-  auto handle_exchange_eof = [&](LoopState::Connection& conn,
-                                 uint32_t request_id, Slice body) {
-    auto eof = DecodeExchangeEof(body);
-    if (!eof.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 eof.status().ToString());
-      return;
-    }
-    auto it = state.exchange_inputs.find({conn.id, eof->exchange_id});
-    if (it == state.exchange_inputs.end()) {
-      counters_.exchange_unknown.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 StrFormat("no open exchange input %u", eof->exchange_id));
-      return;
-    }
-    LoopState::ExchangeInput& in = it->second;
-    if (in.eof) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 "duplicate exchange EOF");
-      return;
-    }
-    in.eof = true;
-    counters_.exchange_eofs.fetch_add(1, std::memory_order_relaxed);
-    auto fit = state.fragments.find(in.fragment_key);
-    if (fit != state.fragments.end() && --fit->second.inputs_pending == 0) {
-      submit_fragment(conn, in.fragment_key);
-    }
-  };
-
-  auto handle_exchange_credit = [&](LoopState::Connection& conn,
-                                    uint32_t request_id, Slice body) {
-    auto credit = DecodeExchangeCredit(body);
-    if (!credit.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, request_id, WireError::kInvalidRequest,
-                 credit.status().ToString());
-      return;
-    }
-    const auto key = std::make_pair(conn.id, credit->exchange_id);
-    auto it = state.fragments.find(key);
-    if (it == state.fragments.end()) {
-      // A grant-after-consume credit inherently races with the fragment's
-      // terminal frame: the coordinator may credit a batch after this side
-      // already sent everything and tore the fragment down. Count it,
-      // don't error — credits are advisory.
-      counters_.exchange_unknown.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    it->second.out_credits += credit->credits;
-    flush_fragment_output(conn, key);
   };
 
   auto handle_frame = [&](LoopState::Connection& conn, const Frame& frame) {
-    if (!IsKnownOpcode(frame.header.opcode)) {
+    const uint32_t request_id = frame.header.request_id;
+    const Slice body(frame.body);
+    // A framed protocol error (unknown opcode, body that does not decode):
+    // answer it and keep the connection.
+    auto malformed = [&](std::string message) {
       counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, frame.header.request_id, WireError::kInvalidRequest,
-                 StrFormat("unknown opcode %u",
-                           static_cast<unsigned>(frame.header.opcode)));
-      return;
+      send_error(conn, request_id, WireError::kInvalidRequest,
+                 std::move(message));
+    };
+    auto draining = [&] {
+      if (!draining_.load(std::memory_order_acquire)) return false;
+      send_error(conn, request_id, WireError::kShuttingDown,
+                 "server is draining");
+      return true;
+    };
+    if (!IsKnownOpcode(frame.header.opcode)) {
+      return malformed(StrFormat("unknown opcode %u",
+                                 static_cast<unsigned>(frame.header.opcode)));
     }
     switch (static_cast<Opcode>(frame.header.opcode)) {
-      case Opcode::kQuery:
-        handle_query(conn, frame.header.request_id, Slice(frame.body));
-        break;
+      case Opcode::kQuery: {
+        counters_.requests.fetch_add(1, std::memory_order_relaxed);
+        auto query = DecodeQuery(body);
+        if (!query.ok()) return malformed(query.status().ToString());
+        if (draining()) return;
+        if (inflight_now_.load(std::memory_order_relaxed) >=
+            static_cast<uint64_t>(std::max(0, options_.max_inflight))) {
+          counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, request_id, WireError::kRetryLater,
+                     StrFormat("admission cap of %d in-flight requests reached",
+                               options_.max_inflight));
+          return;
+        }
+        submit(conn, request_id, query->text,
+               query->deadline_ms != 0 ? query->deadline_ms
+                                       : options_.default_deadline_ms,
+               std::nullopt);
+        return;
+      }
       case Opcode::kPing:
         counters_.pings.fetch_add(1, std::memory_order_relaxed);
-        send_frame(conn, EncodePongFrame(frame.header.request_id));
-        break;
-      case Opcode::kFragment:
-        handle_fragment(conn, frame.header.request_id, Slice(frame.body));
-        break;
-      case Opcode::kExchangeData:
-        handle_exchange_data(conn, frame.header.request_id,
-                             Slice(frame.body));
-        break;
-      case Opcode::kExchangeEof:
-        handle_exchange_eof(conn, frame.header.request_id, Slice(frame.body));
-        break;
-      case Opcode::kExchangeCredit:
-        handle_exchange_credit(conn, frame.header.request_id,
-                               Slice(frame.body));
-        break;
+        conn.outq.push_back(EncodePongFrame(request_id));
+        return;
+      case Opcode::kFragment: {
+        auto spec = DecodeFragment(body);
+        if (!spec.ok()) return malformed(spec.status().ToString());
+        if (draining()) return;
+        submit_ready(conn, fragments.OnFragment(conn.id, request_id,
+                                                *std::move(spec), &conn.outq));
+        return;
+      }
+      case Opcode::kExchangeData: {
+        auto batch = DecodeExchangeData(body);
+        if (!batch.ok()) return malformed(batch.status().ToString());
+        fragments.OnExchangeData(conn.id, request_id, *batch, &conn.outq);
+        return;
+      }
+      case Opcode::kExchangeEof: {
+        auto eof = DecodeExchangeEof(body);
+        if (!eof.ok()) return malformed(eof.status().ToString());
+        submit_ready(conn, fragments.OnExchangeEof(conn.id, request_id, *eof,
+                                                   &conn.outq));
+        return;
+      }
+      case Opcode::kExchangeCredit: {
+        auto credit = DecodeExchangeCredit(body);
+        if (!credit.ok()) return malformed(credit.status().ToString());
+        fragments.OnExchangeCredit(conn.id, *credit, &conn.outq);
+        return;
+      }
       default:
         // A client sending server→client frames is confused but framed;
         // answer and keep the connection.
-        send_error(conn, frame.header.request_id, WireError::kInvalidRequest,
+        send_error(conn, request_id, WireError::kInvalidRequest,
                    "unexpected frame direction");
-        break;
+        return;
     }
   };
 
@@ -755,32 +431,6 @@ void Server::Loop() {
     }
   };
 
-  // Streams one completed result: schema, one rows frame per result page,
-  // then the terminal stats frame carrying the per-query counters.
-  auto respond_result = [&](LoopState::Connection& conn, uint32_t request_id,
-                            const QueryResult& result) {
-    send_frame(conn, EncodeSchemaFrame(request_id, result.schema()));
-    for (const PagePtr& page : result.pages()) {
-      if (page->num_tuples() == 0) continue;
-      RowsBatch batch;
-      batch.num_tuples = static_cast<uint32_t>(page->num_tuples());
-      batch.tuple_width = static_cast<uint32_t>(page->tuple_width());
-      batch.tuples.reserve(static_cast<size_t>(page->payload_bytes()));
-      for (int i = 0; i < page->num_tuples(); ++i) {
-        const Slice t = page->tuple(i);
-        batch.tuples.append(t.data(), t.size());
-      }
-      send_frame(conn, EncodeRowsFrame(request_id, batch));
-    }
-    StatsMessage stats;
-    stats.total_rows = result.num_tuples();
-    stats.seconds = result.stats().wall_seconds;
-    obs::MetricsRegistry registry;
-    RegisterMetrics(result.stats(), &registry);
-    stats.counters = registry.counters();
-    send_frame(conn, EncodeStatsFrame(request_id, stats));
-  };
-
   // Sweeps in-flight requests: answer completions, fire deadlines.
   auto sweep_inflight = [&] {
     const auto now = SteadyClock::now();
@@ -788,58 +438,23 @@ void Server::Loop() {
       LoopState::InFlight& req = state.inflight[i];
       if (req.handle.Done()) {
         auto result = req.handle.Wait();
-        auto conn_it = state.conns.find(req.conn_id);
-        const bool deliverable = !req.orphaned &&
-                                 conn_it != state.conns.end() &&
-                                 !conn_it->second.dead;
-        if (req.is_fragment) {
-          const auto key =
-              std::make_pair(req.conn_id, req.fragment_exchange_id);
-          auto fit = state.fragments.find(key);
-          if (!deliverable || fit == state.fragments.end()) {
-            counters_.orphaned_results.fetch_add(1, std::memory_order_relaxed);
-            cleanup_fragment(key);
-          } else if (!result.ok()) {
-            counters_.fragment_errors.fetch_add(1, std::memory_order_relaxed);
-            send_error(conn_it->second, req.request_id,
-                       StatusToWireError(result.status()),
-                       result.status().ToString());
-            cleanup_fragment(key);
-          } else {
-            Status staged = stage_fragment_output(fit->second, *result);
-            if (!staged.ok()) {
-              counters_.fragment_errors.fetch_add(1,
-                                                  std::memory_order_relaxed);
-              send_error(conn_it->second, req.request_id,
-                         StatusToWireError(staged), staged.ToString());
-              cleanup_fragment(key);
-            } else {
-              fit->second.done = true;
-              flush_fragment_output(conn_it->second, key);
-            }
-          }
-        } else if (!deliverable) {
+        // A request stays un-orphaned only while its connection lives.
+        LoopState::Connection* conn =
+            req.orphaned ? nullptr : &state.conns.at(req.conn_id);
+        if (conn == nullptr) {
           counters_.orphaned_results.fetch_add(1, std::memory_order_relaxed);
-        } else if (result.ok()) {
-          respond_result(conn_it->second, req.request_id, *result);
-        } else {
-          send_error(conn_it->second, req.request_id,
-                     StatusToWireError(result.status()),
-                     result.status().ToString());
         }
+        answer(conn, req.request_id, req.fragment, result);
         state.inflight.erase(state.inflight.begin() +
                              static_cast<ptrdiff_t>(i));
         inflight_now_.fetch_sub(1, std::memory_order_relaxed);
         continue;
       }
-      if (!req.orphaned && req.has_deadline && now >= req.deadline) {
+      if (!req.orphaned && req.deadline.has_value() && now >= *req.deadline) {
         counters_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        auto conn_it = state.conns.find(req.conn_id);
-        if (conn_it != state.conns.end() && !conn_it->second.dead) {
-          send_error(conn_it->second, req.request_id,
-                     WireError::kDeadlineExceeded,
-                     "deadline expired before the query completed");
-        }
+        send_error(state.conns.at(req.conn_id), req.request_id,
+                   WireError::kDeadlineExceeded,
+                   "deadline expired before the query completed");
         // Keep the handle until Done() so the admission cap still counts
         // the pool resources this query occupies.
         req.orphaned = true;
@@ -854,23 +469,9 @@ void Server::Loop() {
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
 
-    // Reap dead connections no in-flight request references anymore.
-    for (auto it = state.conns.begin(); it != state.conns.end();) {
-      bool referenced = false;
-      if (it->second.dead) {
-        for (const auto& req : state.inflight) {
-          if (req.conn_id == it->first) {
-            referenced = true;
-            break;
-          }
-        }
-        if (!referenced) {
-          it = state.conns.erase(it);
-          continue;
-        }
-      }
-      ++it;
-    }
+    // Reap dead connections: drop_conn orphaned their requests, so no
+    // lookup by id needs the entry anymore, and every entry below is live.
+    std::erase_if(state.conns, [](const auto& c) { return c.second.dead; });
 
     if (draining) {
       // Drained when every request that still has a waiting client is
@@ -880,7 +481,7 @@ void Server::Loop() {
         if (!req.orphaned) pending = true;
       }
       for (const auto& [id, conn] : state.conns) {
-        if (!conn.dead && !conn.outq.empty()) pending = true;
+        if (!conn.outq.empty()) pending = true;
       }
       if (!pending) break;
     }
@@ -894,7 +495,6 @@ void Server::Loop() {
     pfds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
     pfd_conn.push_back(0);
     for (auto& [id, conn] : state.conns) {
-      if (conn.dead) continue;
       short events = POLLIN;
       if (!conn.outq.empty()) events |= POLLOUT;
       pfds.push_back(pollfd{conn.fd, events, 0});
@@ -964,13 +564,8 @@ void Server::Loop() {
     }
   }
 
-  // Loop exit (drain complete): tear down any fragment remnants so their
-  // temp relations do not outlive the server, then close sockets; any
-  // still-running orphaned queries are owned by the scheduler, which
-  // Stop() shuts down next.
-  while (!state.fragments.empty()) {
-    cleanup_fragment(state.fragments.begin()->first);
-  }
+  // Loop exit (drain complete): close sockets; any still-running orphaned
+  // queries are owned by the scheduler, which Stop() shuts down next.
   for (auto& [id, conn] : state.conns) {
     if (!conn.dead) {
       ::close(conn.fd);

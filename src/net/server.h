@@ -27,6 +27,9 @@
 /// - **Robustness.** A malformed frame closes only the offending
 ///   connection; a client disconnect mid-query never crashes the server or
 ///   leaks the in-flight query (the scheduler still owns and reaps it).
+/// - **Fragments.** Distributed plan fragments and their exchange frames go
+///   to a FragmentHost (net/fragment_host.h); the fragments it hands back
+///   run through the same submit path as kQuery, outside the admission cap.
 
 #ifndef DFDB_NET_SERVER_H_
 #define DFDB_NET_SERVER_H_
@@ -39,9 +42,10 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "common/statusor.h"
 #include "engine/scheduler.h"
+#include "net/fragment_host.h"
 #include "net/protocol.h"
-#include "obs/counters.h"
 #include "obs/metrics.h"
 #include "ra/optimizer.h"
 #include "storage/storage_engine.h"
@@ -82,14 +86,11 @@ struct ServerOptions {
   SchedulerOptions scheduler;
 };
 
-/// \brief Server-wide counters: the net.* rows of obs/counters.h.
-struct NetCounters {
-  DFDB_PLAIN_COUNTERS(NetCounters, DFDB_NET_COUNTERS)
-};
-/// Their relaxed-atomic twin, bumped by the event loop.
-struct ServerCounters {
-  DFDB_ATOMIC_COUNTERS(NetCounters, DFDB_NET_COUNTERS)
-};
+/// Binds \p host:\p port (0 picks an ephemeral port, stored in
+/// \p bound_port) and listens; Server and dist::FrontServer share it.
+/// InvalidArgument for an unparsable address, Unavailable if unbindable.
+StatusOr<int> ListenTcp(const std::string& host, uint16_t port, int backlog,
+                        uint16_t* bound_port);
 
 /// \brief TCP front door over one StorageEngine + resident Scheduler.
 ///

@@ -232,8 +232,6 @@ enum class CounterKind {
     "Credits granted to senders")                                             \
   X(exchange_credit_stalls, "exchange.credit_stalls", kCount,                 \
     "Output waits on credit")                                                 \
-  X(exchange_credit_underflows, "exchange.credit_underflows", kCount,         \
-    "Batches that arrived without credit")                                    \
   X(exchange_unknown, "exchange.unknown", kCount,                             \
     "Frames for no such exchange")                                            \
   X(exchange_eofs, "exchange.eofs", kCount, "End-of-stream frames")           \

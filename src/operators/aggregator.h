@@ -2,8 +2,8 @@
 /// \brief Grouped aggregation over a page stream (extension operator).
 ///
 /// The Aggregator here interprets every tuple through Values; it is the
-/// semantic reference (ReferenceExecutor's path) and the engines' fallback
-/// for shapes the compiled program in compiled_aggregate.h does not cover.
+/// semantic reference: ReferenceExecutor's path, and the oracle the tests
+/// hold the engines' compiled program (compiled_aggregate.h) to.
 
 #ifndef DFDB_OPERATORS_AGGREGATOR_H_
 #define DFDB_OPERATORS_AGGREGATOR_H_
@@ -35,42 +35,15 @@ inline int64_t DoubleTotalOrderKey(double d) {
   return bits ^ ((bits >> 63) & std::numeric_limits<int64_t>::max());
 }
 
-/// \brief The aggregate operator as both engines drive it: Consume() every
-/// input page (in any order), then Finish() once.
-///
-/// Every implementation emits one tuple per group in the byte order of the
-/// encoded group columns, and its output bytes do not depend on the order
-/// the pages arrived in: MIN/MAX over DOUBLE follow DoubleTotalOrderKey, so
-/// values that compare equal but differ in bytes (-0.0 and 0.0, NaNs) never
-/// tie.
-class AggregateKernel {
- public:
-  virtual ~AggregateKernel() = default;
-
-  /// Folds every tuple of \p page into the running groups.
-  virtual Status Consume(const Page& page) = 0;
-
-  /// Emits one encoded output tuple per group. Afterwards the kernel is
-  /// reset and reusable.
-  virtual Status Finish(PageSink* out) = 0;
-
-  virtual size_t num_groups() const = 0;
-
- protected:
-  AggregateKernel() = default;
-  AggregateKernel(const AggregateKernel&) = default;
-  AggregateKernel(AggregateKernel&&) = default;
-  AggregateKernel& operator=(const AggregateKernel&) = default;
-  AggregateKernel& operator=(AggregateKernel&&) = default;
-};
-
 /// \brief Accumulates grouped aggregates across pages, then emits one tuple
 /// per group in group-key order (deterministic output).
 ///
-/// SUM over integers adds in uint64_t, so an overflowing sum wraps like
-/// two's complement instead of being undefined. SUM over DOUBLE and AVG
-/// add into an ExactSum, so they do not depend on page order.
-class Aggregator final : public AggregateKernel {
+/// The output bytes do not depend on the order the pages arrived in. SUM
+/// over integers adds in uint64_t, so an overflowing sum wraps like two's
+/// complement instead of being undefined. SUM over DOUBLE and AVG add into
+/// an ExactSum. MIN/MAX over DOUBLE follow DoubleTotalOrderKey, so values
+/// that compare equal but differ in bytes (-0.0 and 0.0, NaNs) never tie.
+class Aggregator {
  public:
   /// \p input_schema and \p output_schema must be the analyzer-resolved
   /// schemas of the aggregate node's child and of the node itself.
@@ -79,9 +52,12 @@ class Aggregator final : public AggregateKernel {
                                      const std::vector<std::string>& group_by,
                                      std::vector<AggregateSpec> specs);
 
-  Status Consume(const Page& page) override;
-  Status Finish(PageSink* out) override;
-  size_t num_groups() const override { return groups_.size(); }
+  /// Folds every tuple of \p page into the running groups.
+  Status Consume(const Page& page);
+  /// Emits one encoded output tuple per group. Afterwards the aggregator
+  /// is reset and reusable.
+  Status Finish(PageSink* out);
+  size_t num_groups() const { return groups_.size(); }
 
  private:
   struct AggState {

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/macros.h"
+#include "operators/aggregator.h"
 #include "ra/expr_compile.h"
 
 namespace dfdb {
@@ -13,9 +14,11 @@ namespace dfdb {
 namespace {
 
 using Kind = AggregateSpec::Func;
+using expr_detail::Cmp3S;
 using expr_detail::LoadF64;
 using expr_detail::LoadI32;
 using expr_detail::LoadI64;
+using expr_detail::TrimmedLen;
 
 constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
@@ -108,6 +111,7 @@ StatusOr<CompiledAggregate> CompiledAggregate::Compile(
 
   int words = 0;
   int sums = 0;
+  int chars = 0;
   for (size_t s = 0; s < specs.size(); ++s) {
     const AggregateSpec& spec = specs[s];
     const int out_col = static_cast<int>(group_by.size() + s);
@@ -118,16 +122,18 @@ StatusOr<CompiledAggregate> CompiledAggregate::Compile(
     if (spec.func != Kind::kCount) {
       DFDB_ASSIGN_OR_RETURN(int idx, input_schema.ColumnIndex(spec.column));
       const ColumnType type = input_schema.column(idx).type;
+      const bool is_char = type == ColumnType::kChar;
       step.in_offset = input_schema.offset(idx);
-      if (type == ColumnType::kChar) {
-        return Status::NotSupported("aggregate over CHAR column " +
-                                    spec.column + " is interpreted");
+      if (is_char && spec.func != Kind::kMin && spec.func != Kind::kMax) {
+        return Status::InvalidArgument("SUM/AVG require a numeric column: " +
+                                       spec.column);
       }
       using K = Step::Kind;
-      // Picks the INT32, INT64 or DOUBLE flavour of a step.
-      auto typed = [type](K i32, K i64, K f64) {
-        return type == ColumnType::kInt32 ? i32
+      // Picks the INT32, INT64, DOUBLE or CHAR flavour of a step.
+      auto typed = [type](K i32, K i64, K f64, K chr = K::kCount) {
+        return type == ColumnType::kInt32   ? i32
                : type == ColumnType::kInt64 ? i64
+               : type == ColumnType::kChar  ? chr
                                             : f64;
       };
       switch (spec.func) {
@@ -141,11 +147,11 @@ StatusOr<CompiledAggregate> CompiledAggregate::Compile(
           want = ColumnType::kDouble;
           break;
         case Kind::kMin:
-          step.kind = typed(K::kMinI32, K::kMinI64, K::kMinF64);
+          step.kind = typed(K::kMinI32, K::kMinI64, K::kMinF64, K::kMinChar);
           want = type;
           break;
         case Kind::kMax:
-          step.kind = typed(K::kMaxI32, K::kMaxI64, K::kMaxF64);
+          step.kind = typed(K::kMaxI32, K::kMaxI64, K::kMaxF64, K::kMaxChar);
           want = type;
           break;
         case Kind::kCount:
@@ -153,9 +159,17 @@ StatusOr<CompiledAggregate> CompiledAggregate::Compile(
       }
       const bool exact = step.kind == K::kSumF64 || step.kind == K::kAvgI32 ||
                          step.kind == K::kAvgI64 || step.kind == K::kAvgF64;
-      step.slot = exact ? sums++ : words++;
+      if (is_char) {
+        step.width = input_schema.column(idx).width;
+        step.slot = chars;
+        chars += step.width;
+      } else {
+        step.slot = exact ? sums++ : words++;
+      }
     }
-    if (out_type != want) {
+    if (out_type != want ||
+        (want == ColumnType::kChar &&
+         output_schema.column(out_col).width != step.width)) {
       return Status::InvalidArgument("aggregate " + spec.output_name +
                                      " has an unexpected output type");
     }
@@ -163,6 +177,7 @@ StatusOr<CompiledAggregate> CompiledAggregate::Compile(
   }
   p.words_per_group_ = 1 + words;
   p.sums_per_group_ = sums;
+  p.chars_per_group_ = chars;
   p.key_buf_.resize(static_cast<size_t>(p.key_width_));
   p.Rehash(16);
   return p;
@@ -186,8 +201,10 @@ uint32_t CompiledAggregate::AddGroup(const char* key, const char* tuple,
   keys_.insert(keys_.end(), key, key + key_width_);
   words_.resize(words_.size() + static_cast<size_t>(words_per_group_), 0);
   sums_.resize(sums_.size() + static_cast<size_t>(sums_per_group_));
+  chars_.resize(chars_.size() + static_cast<size_t>(chars_per_group_));
   // MIN and MAX start at the group's first value.
   uint64_t* w = words_.data() + g * static_cast<size_t>(words_per_group_) + 1;
+  char* c = chars_.data() + g * static_cast<size_t>(chars_per_group_);
   for (const Step& step : steps_) {
     switch (step.kind) {
       case Step::Kind::kMinI32:
@@ -199,6 +216,11 @@ uint32_t CompiledAggregate::AddGroup(const char* key, const char* tuple,
       case Step::Kind::kMinF64:
       case Step::Kind::kMaxF64:
         std::memcpy(&w[step.slot], tuple + step.in_offset, 8);
+        break;
+      case Step::Kind::kMinChar:
+      case Step::Kind::kMaxChar:
+        std::memcpy(c + step.slot, tuple + step.in_offset,
+                    static_cast<size_t>(step.width));
         break;
       default:
         break;
@@ -262,6 +284,7 @@ Status CompiledAggregate::Consume(const Page& page) {
   const size_t stride = static_cast<size_t>(tuple_width_);
   const size_t wpg = static_cast<size_t>(words_per_group_);
   const size_t spg = static_cast<size_t>(sums_per_group_);
+  const size_t cpg = static_cast<size_t>(chars_per_group_);
   for (int t = 0; t < n; ++t) ++words_[gid[t] * wpg];
   for (const Step& step : steps_) {
     const size_t slot = static_cast<size_t>(step.slot);
@@ -324,6 +347,23 @@ Status CompiledAggregate::Consume(const Page& page) {
         }
         break;
       }
+      case Step::Kind::kMinChar:
+      case Step::Kind::kMaxChar: {
+        // Value::Compare's order: the right-trimmed bytes, unsigned. Equal
+        // trimmed strings have equal blank-padded bytes, so keeping either
+        // emits the same bytes whatever the page order.
+        const bool is_min = step.kind == Step::Kind::kMinChar;
+        for (int t = 0; t < n; ++t) {
+          const char* v = at(t) + off;
+          char* cur = chars_.data() + gid[t] * cpg + slot;
+          const int c = Cmp3S(v, TrimmedLen(v, step.width), cur,
+                              TrimmedLen(cur, step.width));
+          if (is_min ? c < 0 : c > 0) {
+            std::memcpy(cur, v, static_cast<size_t>(step.width));
+          }
+        }
+        break;
+      }
     }
   }
   return Status::OK();
@@ -346,6 +386,8 @@ Status CompiledAggregate::Finish(PageSink* out) {
         words_.data() + g * static_cast<size_t>(words_per_group_);
     const ExactSum* sum =
         sums_.data() + g * static_cast<size_t>(sums_per_group_);
+    const char* chars =
+        chars_.data() + g * static_cast<size_t>(chars_per_group_);
     const uint64_t count = w[0];
     for (const Step& step : steps_) {
       char* dst = row.data() + step.out_offset;
@@ -373,6 +415,10 @@ Status CompiledAggregate::Finish(PageSink* out) {
           std::memcpy(dst, &x, 4);
           break;
         }
+        case Step::Kind::kMinChar:
+        case Step::Kind::kMaxChar:
+          std::memcpy(dst, chars + step.slot, static_cast<size_t>(step.width));
+          break;
         default:  // Sums over integers, MIN/MAX over INT64 and DOUBLE.
           std::memcpy(dst, &w[1 + step.slot], 8);
           break;
@@ -384,28 +430,9 @@ Status CompiledAggregate::Finish(PageSink* out) {
   keys_.clear();
   words_.clear();
   sums_.clear();
+  chars_.clear();
   std::fill(slots_.begin(), slots_.end(), 0u);
   return Status::OK();
-}
-
-StatusOr<std::unique_ptr<AggregateKernel>> MakeAggregateKernel(
-    const Schema& input_schema, const Schema& output_schema,
-    const std::vector<std::string>& group_by,
-    const std::vector<AggregateSpec>& specs) {
-  auto compiled =
-      CompiledAggregate::Compile(input_schema, output_schema, group_by, specs);
-  if (compiled.ok()) {
-    return std::unique_ptr<AggregateKernel>(
-        std::make_unique<CompiledAggregate>(*std::move(compiled)));
-  }
-  // Only an aggregate over a CHAR column goes to the Aggregator. A layout
-  // or output-type error means the schemas are not the analyzer's.
-  if (!compiled.status().IsNotSupported()) return compiled.status();
-  DFDB_ASSIGN_OR_RETURN(
-      Aggregator interpreted,
-      Aggregator::Create(input_schema, output_schema, group_by, specs));
-  return std::unique_ptr<AggregateKernel>(
-      std::make_unique<Aggregator>(std::move(interpreted)));
 }
 
 }  // namespace dfdb

@@ -13,44 +13,48 @@
 ///
 /// The output is byte-identical to the Aggregator's: groups are emitted in
 /// the byte order of their key (the std::map order), MIN/MAX compare
-/// integers numerically and DOUBLEs by DoubleTotalOrderKey (so -0.0 < 0.0
-/// and NaNs order by sign and payload), SUM over integers wraps in
-/// uint64_t, and SUM over DOUBLE and AVG share the Aggregator's ExactSum.
-/// operators_test fuzzes the two against each other.
+/// integers numerically, DOUBLEs by DoubleTotalOrderKey (so -0.0 < 0.0
+/// and NaNs order by sign and payload) and CHARs by their right-trimmed
+/// bytes (Value::Compare's order), SUM over integers wraps in uint64_t,
+/// and SUM over DOUBLE and AVG share the Aggregator's ExactSum. Both
+/// engines run every aggregate node through it; operators_test fuzzes it
+/// against the Aggregator, which stays as ReferenceExecutor's oracle.
 
 #ifndef DFDB_OPERATORS_COMPILED_AGGREGATE_H_
 #define DFDB_OPERATORS_COMPILED_AGGREGATE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/schema.h"
-#include "operators/aggregator.h"
 #include "operators/exact_sum.h"
+#include "operators/page_sink.h"
 #include "ra/plan.h"
+#include "storage/page.h"
 
 namespace dfdb {
 
-/// \brief Grouped aggregation over raw tuple bytes: COUNT, and SUM, AVG,
-/// MIN and MAX over INT32/INT64/DOUBLE columns, grouped by columns of any
-/// type.
-class CompiledAggregate final : public AggregateKernel {
+/// \brief Grouped aggregation over raw tuple bytes: COUNT, SUM and AVG
+/// over INT32/INT64/DOUBLE columns, and MIN and MAX over columns of any
+/// type, grouped by columns of any type. Consume() every input page, in
+/// any order, then Finish() once.
+class CompiledAggregate {
  public:
-  /// Builds the program for an aggregate node. Returns NotSupported — and
-  /// the caller must use the Aggregator — for an aggregate over a CHAR
-  /// column (MIN/MAX; SUM/AVG the analyzer rejects), and InvalidArgument
-  /// for an output schema the analyzer would not produce.
+  /// Builds the program for an aggregate node. Returns InvalidArgument for
+  /// schemas the analyzer would not produce.
   static StatusOr<CompiledAggregate> Compile(
       const Schema& input_schema, const Schema& output_schema,
       const std::vector<std::string>& group_by,
       const std::vector<AggregateSpec>& specs);
 
-  /// Never fails: every error path was rejected by Compile().
-  Status Consume(const Page& page) override;
-  Status Finish(PageSink* out) override;
-  size_t num_groups() const override { return num_groups_; }
+  /// Folds every tuple of \p page into the running groups. Never fails:
+  /// every error path was rejected by Compile().
+  Status Consume(const Page& page);
+  /// Emits one encoded output tuple per group. Afterwards the program is
+  /// reset and reusable.
+  Status Finish(PageSink* out);
+  size_t num_groups() const { return num_groups_; }
 
  private:
   /// One aggregate, types resolved at compile time.
@@ -62,12 +66,15 @@ class CompiledAggregate final : public AggregateKernel {
       kAvgI32, kAvgI64, kAvgF64,         // ExactSum of the values as doubles.
       kMinI32, kMaxI32, kMinI64, kMaxI64,  // int64_t word.
       kMinF64, kMaxF64,                  // double word.
+      kMinChar, kMaxChar,                // The winner's raw column bytes.
     };
     Kind kind = Kind::kCount;
     int32_t in_offset = 0;   ///< Input column byte offset.
     int32_t out_offset = 0;  ///< Output column byte offset.
-    /// Index into the group's words (after the count) or its ExactSums.
+    /// Index into the group's words (after the count) or its ExactSums;
+    /// for CHAR, the byte offset into the group's chars.
     int32_t slot = 0;
+    int32_t width = 0;  ///< CHAR column width.
   };
   /// One group column's bytes in the input tuple.
   struct KeyPart {
@@ -101,26 +108,19 @@ class CompiledAggregate final : public AggregateKernel {
   /// Per group: the count, then one word per word-kind step.
   int words_per_group_ = 1;
   int sums_per_group_ = 0;
+  int chars_per_group_ = 0;
 
   // Running state, cleared by Finish().
   size_t num_groups_ = 0;
   std::vector<char> keys_;       ///< Group g's key at g * key_width_.
   std::vector<uint64_t> words_;  ///< Group g's words at g * words_per_group_.
   std::vector<ExactSum> sums_;   ///< Group g's sums at g * sums_per_group_.
+  std::vector<char> chars_;      ///< Group g's chars at g * chars_per_group_.
   std::vector<uint32_t> slots_;  ///< Group + 1; 0 is empty.
   int slot_shift_ = 64;
   std::vector<uint32_t> group_ids_;  ///< Per tuple of the current page.
   std::string key_buf_;
 };
-
-/// \brief The aggregate kernel for one node: the compiled program when the
-/// shape allows it, the interpreted Aggregator for an aggregate over CHAR,
-/// and any other Compile() error as is. Both engines build one per
-/// aggregate node; ReferenceExecutor uses the Aggregator directly.
-StatusOr<std::unique_ptr<AggregateKernel>> MakeAggregateKernel(
-    const Schema& input_schema, const Schema& output_schema,
-    const std::vector<std::string>& group_by,
-    const std::vector<AggregateSpec>& specs);
 
 }  // namespace dfdb
 

@@ -331,10 +331,43 @@ TEST_F(DistTest, FrontServerServesDfw1Clients) {
   ASSERT_OK(client.Ping());
   const std::string text =
       "join(restrict(r01, k1000 < 100), r06, k100 = right.k100)";
+  ASSERT_OK_AND_ASSIGN(net::RemoteResult direct,
+                       cluster->coordinator().Execute(text));
+  const uint64_t batches = direct.counters["dist.batches_routed"];
+  EXPECT_GT(batches, 0u);
+  // kStats carries each query's own counters, not the coordinator's
+  // running totals.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_OK_AND_ASSIGN(net::RemoteResult result, client.Execute(text));
+    EXPECT_EQ(SortedRows(result.tuples, result.schema.tuple_width()),
+              ReferenceRows(text));
+    EXPECT_EQ(result.counters["dist.batches_routed"], batches);
+  }
+  client.Close();
+  front.Stop();
+}
+
+TEST_F(DistTest, FrontServerSurvivesAFailedQuery) {
+  ASSERT_OK_AND_ASSIGN(auto cluster, Cluster::Make(2));
+  FrontServer front(&cluster->coordinator(), FrontServerOptions{});
+  ASSERT_OK(front.Start());
+  net::ClientOptions copts;
+  copts.max_retries = 1;
+  copts.retry_backoff_ms = 1;
+  ASSERT_OK_AND_ASSIGN(auto client,
+                       net::Client::Connect("127.0.0.1", front.port(), copts));
+  // Both front doors map an unknown relation to kInvalidRequest.
+  auto unknown = client.Execute("restrict(nope, k1000 < 5)");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().IsInvalidArgument()) << unknown.status();
+  // k2 is 0 on half the rows: a worker fails the query mid-shuffle.
+  EXPECT_FALSE(client.Execute("restrict(r01, k1000 / k2 < 5)").ok());
+  // The next query runs on redialed workers, with no Connect() call.
+  const std::string text = "restrict(r01, k1000 < 5)";
   ASSERT_OK_AND_ASSIGN(net::RemoteResult result, client.Execute(text));
   EXPECT_EQ(SortedRows(result.tuples, result.schema.tuple_width()),
             ReferenceRows(text));
-  EXPECT_GT(result.counters["dist.batches_routed"], 0u);
   client.Close();
   front.Stop();
 }

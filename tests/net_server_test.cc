@@ -506,6 +506,230 @@ TEST_F(NetServerTest, MalformedFragmentRejectedWithoutDroppingConnection) {
   server.Stop();
 }
 
+/// Reads the next frame and expects kError/kInvalidRequest for \p request_id.
+void ExpectInvalidRequest(RawConn* conn, uint32_t request_id) {
+  ASSERT_OK_AND_ASSIGN(Frame reply, conn->ReadFrame());
+  ASSERT_EQ(reply.header.opcode, static_cast<uint8_t>(Opcode::kError));
+  EXPECT_EQ(reply.header.request_id, request_id);
+  ASSERT_OK_AND_ASSIGN(ErrorMessage error, DecodeError(reply.body));
+  EXPECT_EQ(error.code, WireError::kInvalidRequest) << error.message;
+}
+
+/// Pings and expects the pong to be the very next frame: nothing else was
+/// queued on the connection ahead of it.
+void ExpectPongNext(RawConn* conn, uint32_t request_id) {
+  conn->Send(EncodePingFrame(request_id));
+  ASSERT_OK_AND_ASSIGN(Frame pong, conn->ReadFrame());
+  EXPECT_EQ(pong.header.opcode, static_cast<uint8_t>(Opcode::kPong));
+  EXPECT_EQ(pong.header.request_id, request_id);
+}
+
+/// A fragment input of one INT32 column named "v".
+FragmentInput IntInput(uint32_t exchange_id, const std::string& relation) {
+  return FragmentInput{exchange_id, relation,
+                       Schema::CreateOrDie({Column::Int32("v")})};
+}
+
+/// One kExchangeData batch of \p values for a one-INT32-column input.
+std::string IntBatchFrame(uint32_t request_id, uint32_t exchange_id,
+                          const std::vector<int32_t>& values) {
+  ExchangeBatch batch;
+  batch.exchange_id = exchange_id;
+  batch.num_tuples = static_cast<uint32_t>(values.size());
+  batch.tuple_width = 4;
+  for (int32_t v : values) {
+    batch.tuples.append(reinterpret_cast<const char*>(&v), 4);
+  }
+  return EncodeExchangeDataFrame(request_id, batch);
+}
+
+TEST_F(NetServerTest, FragmentOutputReleasesOneBatchPerCredit) {
+  // 2 KiB frames cut the output into 1 KiB batches (eleven 100-byte
+  // tuples); with one output credit the worker may send one batch, then
+  // must wait for each further grant.
+  ServerOptions options = Options();
+  options.max_frame_bytes = 2048;
+  Server server(storage_.get(), options);
+  ASSERT_OK(server.Start());
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+
+  const std::string text = "restrict(alpha, k1000 < 100)";
+  ASSERT_OK_AND_ASSIGN(auto plan, ParseQuery(text));
+  ReferenceExecutor reference(storage_.get());
+  ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+
+  constexpr uint32_t kOut = 5;
+  FragmentRequest fragment;
+  fragment.text = text;
+  fragment.output_exchange_id = kOut;
+  fragment.output_mode = ExchangeMode::kGather;
+  fragment.output_credits = 1;
+  conn.Send(EncodeFragmentFrame(1, fragment));
+
+  uint64_t rows = 0;
+  int batches = 0;
+  auto expect_batch = [&](const Frame& frame) {
+    ASSERT_EQ(frame.header.opcode, static_cast<uint8_t>(Opcode::kExchangeData));
+    EXPECT_EQ(frame.header.request_id, 1u);
+    ASSERT_OK_AND_ASSIGN(ExchangeBatch batch, DecodeExchangeData(frame.body));
+    EXPECT_EQ(batch.exchange_id, kOut);
+    EXPECT_EQ(batch.partition_id, 0u);
+    rows += batch.num_tuples;
+    ++batches;
+  };
+  ASSERT_OK_AND_ASSIGN(Frame first, conn.ReadFrame());
+  expect_batch(first);
+  // The credit is spent: nothing follows the first batch.
+  ExpectPongNext(&conn, 2);
+  EXPECT_GE(server.counters().exchange_credit_stalls.load(), 1u);
+
+  // Each grant releases exactly one batch; kStats follows the last one.
+  uint32_t rid = 3;
+  for (;;) {
+    conn.Send(EncodeExchangeCreditFrame(rid++, ExchangeCreditMessage{kOut, 1}));
+    ASSERT_OK_AND_ASSIGN(Frame data, conn.ReadFrame());
+    expect_batch(data);
+    conn.Send(EncodePingFrame(rid));
+    ASSERT_OK_AND_ASSIGN(Frame next, conn.ReadFrame());
+    if (next.header.opcode == static_cast<uint8_t>(Opcode::kPong)) {
+      EXPECT_EQ(next.header.request_id, rid++);
+      ASSERT_LT(batches, 100);
+      continue;
+    }
+    ASSERT_EQ(next.header.opcode, static_cast<uint8_t>(Opcode::kStats));
+    EXPECT_EQ(next.header.request_id, 1u);
+    ASSERT_OK_AND_ASSIGN(StatsMessage stats, DecodeStats(next.body));
+    EXPECT_EQ(stats.total_rows, expected.num_tuples());
+    ASSERT_OK_AND_ASSIGN(Frame pong, conn.ReadFrame());
+    EXPECT_EQ(pong.header.opcode, static_cast<uint8_t>(Opcode::kPong));
+    break;
+  }
+  EXPECT_GE(batches, 3);
+  EXPECT_EQ(rows, expected.num_tuples());
+  EXPECT_EQ(server.counters().exchange_batches_out.load(),
+            static_cast<uint64_t>(batches));
+  server.Stop();
+}
+
+TEST_F(NetServerTest, DisconnectBeforeEofDropsTheTempRelation) {
+  Server server(storage_.get(), Options());
+  ASSERT_OK(server.Start());
+  FragmentRequest fragment;
+  fragment.text = "__exq31";
+  fragment.output_exchange_id = 30;
+  fragment.inputs.push_back(IntInput(31, "__exq31"));
+  {
+    RawConn conn(server.port());
+    ASSERT_TRUE(conn.connected());
+    conn.Send(EncodeFragmentFrame(1, fragment));
+    conn.Send(IntBatchFrame(2, 31, {1, 2, 3}));
+    // The credit back proves the batch landed in the temp relation.
+    ASSERT_OK_AND_ASSIGN(Frame credit, conn.ReadFrame());
+    ASSERT_EQ(credit.header.opcode,
+              static_cast<uint8_t>(Opcode::kExchangeCredit));
+  }  // Gone before the EOF.
+  for (int i = 0; i < 200 && server.counters().disconnects.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.counters().disconnects.load(), 1u);
+
+  // The temp relation went with the connection: a new coordinator may open
+  // an input of the same name, and the fragment sees only its own rows.
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  conn.Send(EncodeFragmentFrame(1, fragment));
+  conn.Send(IntBatchFrame(2, 31, {7, 8}));
+  conn.Send(EncodeExchangeEofFrame(3, ExchangeEofMessage{31}));
+  ASSERT_OK_AND_ASSIGN(Frame credit, conn.ReadFrame());
+  EXPECT_EQ(credit.header.opcode,
+            static_cast<uint8_t>(Opcode::kExchangeCredit));
+  ASSERT_OK_AND_ASSIGN(Frame data, conn.ReadFrame());
+  ASSERT_EQ(data.header.opcode, static_cast<uint8_t>(Opcode::kExchangeData));
+  ASSERT_OK_AND_ASSIGN(ExchangeBatch batch, DecodeExchangeData(data.body));
+  EXPECT_EQ(batch.num_tuples, 2u);
+  ASSERT_OK_AND_ASSIGN(Frame stats, conn.ReadFrame());
+  EXPECT_EQ(stats.header.opcode, static_cast<uint8_t>(Opcode::kStats));
+  EXPECT_EQ(server.counters().fragment_errors.load(), 0u);
+
+  // The server keeps serving ordinary queries.
+  ASSERT_OK_AND_ASSIGN(Client client,
+                       Client::Connect("127.0.0.1", server.port()));
+  ASSERT_OK_AND_ASSIGN(RemoteResult ok,
+                       client.Execute("restrict(alpha, k1000 < 10)"));
+  (void)ok;
+  server.Stop();
+}
+
+TEST_F(NetServerTest, ExchangeMisuseAnsweredWithoutDroppingConnection) {
+  Server server(storage_.get(), Options());
+  ASSERT_OK(server.Start());
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+
+  // Two inputs, so the fragment never runs while the first input is
+  // misused.
+  FragmentRequest fragment;
+  fragment.text = "union(__exq41, __exq42)";
+  fragment.output_exchange_id = 40;
+  fragment.inputs.push_back(IntInput(41, "__exq41"));
+  fragment.inputs.push_back(IntInput(42, "__exq42"));
+  conn.Send(EncodeFragmentFrame(1, fragment));
+  conn.Send(EncodeExchangeEofFrame(2, ExchangeEofMessage{41}));
+  ExpectPongNext(&conn, 3);
+
+  // Data after EOF.
+  conn.Send(IntBatchFrame(4, 41, {1}));
+  ExpectInvalidRequest(&conn, 4);
+  ExpectPongNext(&conn, 5);
+
+  // A duplicate EOF.
+  conn.Send(EncodeExchangeEofFrame(6, ExchangeEofMessage{41}));
+  ExpectInvalidRequest(&conn, 6);
+  ExpectPongNext(&conn, 7);
+
+  // A batch whose tuple width is not the input schema's.
+  ExchangeBatch wide;
+  wide.exchange_id = 42;
+  wide.num_tuples = 1;
+  wide.tuple_width = 8;
+  wide.tuples = std::string(8, 'x');
+  conn.Send(EncodeExchangeDataFrame(8, wide));
+  ExpectInvalidRequest(&conn, 8);
+  ExpectPongNext(&conn, 9);
+
+  // A second fragment reusing the open output exchange id.
+  FragmentRequest same_output = fragment;
+  same_output.inputs.clear();
+  conn.Send(EncodeFragmentFrame(10, same_output));
+  ExpectInvalidRequest(&conn, 10);
+  ExpectPongNext(&conn, 11);
+
+  // A second fragment reusing an open input exchange id.
+  FragmentRequest same_input;
+  same_input.text = "__exq99";
+  same_input.output_exchange_id = 43;
+  same_input.inputs.push_back(IntInput(42, "__exq99"));
+  conn.Send(EncodeFragmentFrame(12, same_input));
+  ExpectInvalidRequest(&conn, 12);
+  ExpectPongNext(&conn, 13);
+
+  // The first fragment is intact: its second input still completes it.
+  conn.Send(IntBatchFrame(14, 42, {5}));
+  conn.Send(EncodeExchangeEofFrame(15, ExchangeEofMessage{42}));
+  ASSERT_OK_AND_ASSIGN(Frame credit, conn.ReadFrame());
+  EXPECT_EQ(credit.header.opcode,
+            static_cast<uint8_t>(Opcode::kExchangeCredit));
+  ASSERT_OK_AND_ASSIGN(Frame data, conn.ReadFrame());
+  ASSERT_EQ(data.header.opcode, static_cast<uint8_t>(Opcode::kExchangeData));
+  ASSERT_OK_AND_ASSIGN(ExchangeBatch batch, DecodeExchangeData(data.body));
+  EXPECT_EQ(batch.num_tuples, 1u);
+  ASSERT_OK_AND_ASSIGN(Frame stats, conn.ReadFrame());
+  EXPECT_EQ(stats.header.opcode, static_cast<uint8_t>(Opcode::kStats));
+  EXPECT_EQ(stats.header.request_id, 1u);
+  server.Stop();
+}
+
 TEST_F(NetServerTest, StartTwiceFailsCleanly) {
   Server server(storage_.get(), Options());
   ASSERT_OK(server.Start());

@@ -222,6 +222,45 @@ TEST(MinMaxOrderTest, DoubleMinMaxIgnorePageOrderOnEveryBackend) {
   }
 }
 
+TEST(MinMaxOrderTest, CharMinMaxMatchesReferenceOnEveryBackend) {
+  // The CHAR column varies by group, with trailing and embedded blanks and
+  // empty strings; two tuples per page spread each group over pages.
+  const std::vector<std::pair<int32_t, std::string>> rows = {
+      {0, "pear"}, {1, "b a"},  {2, ""},    {0, "apple "}, {1, "b"},
+      {2, " z"},   {0, "fig"},  {1, "b  a"}, {2, "  "},    {0, "apple"},
+      {1, "ba"},   {2, "z "},   {3, "only"},
+  };
+  const Schema schema =
+      Schema::CreateOrDie({Column::Int32("k"), Column::Char("s", 6)});
+  const int page_bytes = 2 * schema.tuple_width();
+  StorageEngine storage(page_bytes);
+  ASSERT_OK(storage.CreateRelation("c", schema).status());
+  ASSERT_OK_AND_ASSIGN(HeapFile * file, storage.GetHeapFile("c"));
+  for (const auto& [k, s] : rows) {
+    ASSERT_OK(file->Append({Value::Int32(k), Value::Char(s)}));
+  }
+  ASSERT_OK(storage.SyncStats("c"));
+  std::vector<AggregateSpec> specs;
+  specs.push_back({AggregateSpec::Func::kMin, "s", "lo"});
+  specs.push_back({AggregateSpec::Func::kMax, "s", "hi"});
+  specs.push_back({AggregateSpec::Func::kCount, "", "n"});
+  PlanNodePtr plan = MakeAggregate(MakeScan("c"), {"k"}, specs);
+
+  ReferenceExecutor reference(&storage);
+  ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+  EXPECT_EQ(expected.num_tuples(), 4u);
+  MachineOptions mopts;
+  mopts.config.page_bytes = page_bytes;
+  MachineSimulator sim(&storage, mopts);
+  ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run({plan.get()}));
+  ExpectSameResult(expected, report.results[0]);
+  ExecOptions eopts;
+  eopts.num_processors = 2;
+  eopts.page_bytes = page_bytes;
+  ASSERT_OK_AND_ASSIGN(QueryResult engine, RunQuery(&storage, *plan, eopts));
+  ExpectSameResult(expected, engine);
+}
+
 TEST_F(SimulatorTest, DifferenceBarrier) {
   CheckAgainstReference(
       MakeDifference(

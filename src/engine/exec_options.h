@@ -111,9 +111,6 @@ struct ExecOptions {
   /// the network-traffic statistics.
   int packet_overhead_bytes = 64;
 
-  /// Partition count for the parallel duplicate-elimination project.
-  int dedup_partitions = 16;
-
   /// Per-edge pipeline-vs-materialize execution policy.
   PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
 

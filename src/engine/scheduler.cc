@@ -23,10 +23,8 @@
 #include "engine/edge.h"
 #include "index/access_path.h"
 #include "obs/trace.h"
-#include "operators/compiled_aggregate.h"
-#include "operators/dedup.h"
 #include "operators/kernels.h"
-#include "operators/set_ops.h"
+#include "operators/node_program.h"
 #include "ra/analyzer.h"
 #include "ra/optimizer.h"
 #include "storage/buffer_manager.h"
@@ -67,18 +65,14 @@ struct NodeState {
 
   // Static (post-analysis) configuration.
   int num_inputs = 0;
-  std::vector<int> project_indices;  // kProject.
-  HeapFile* target_file = nullptr;   // kAppend / kDelete.
-  /// Predicate program compiled once per query (kRestrict / kDelete);
-  /// empty when compilation was refused and the node interprets per tuple.
-  std::optional<CompiledPredicate> compiled_pred;
+  /// What the node computes (null only when it failed to build, which
+  /// failed the query).
+  std::unique_ptr<NodeProgram> program;
   /// Near-data pushdown (kScan on a marked plan): the consuming restrict's
   /// predicate, compiled against the scan schema, run by the buffer
   /// hierarchy during the cache -> local transfer so only survivors ride
   /// the edge. Empty = raw path.
   std::optional<CompiledPredicate> pushdown_pred;
-  /// Join program with extracted equi-keys (kJoin).
-  std::optional<CompiledJoinPredicate> compiled_join;
   /// Pipeline fusion (unary-chain collapse): the steps of every absorbed
   /// fused producer below this node plus this node's own operation, run as
   /// one pass per input page. The absorbed nodes have no NodeState — their
@@ -104,26 +98,9 @@ struct NodeState {
   uint64_t outer_seen = 0;
   uint64_t outer_done = 0;
 
-  // kProject with dedup: sharded eliminators for parallel dedup.
-  struct DedupShard {
-    std::mutex mu;
-    DuplicateEliminator set;
-  };
-  std::vector<std::unique_ptr<DedupShard>> dedup_shards;
-
-  // kUnion (set semantics).
-  std::mutex union_mu;
-  DuplicateEliminator union_seen;
-
-  // kDifference.
-  std::mutex diff_mu;
-  DifferenceOp diff;
+  // kDifference: left pages wait until the right side is done.
   bool left_released = false;
   std::vector<PendingPage> left_buffer;
-
-  // kAggregate.
-  std::mutex agg_mu;
-  std::optional<CompiledAggregate> aggregator;
 
   // --- producer-side events (called by the child's edge wiring) ---
   void OnPage(int slot, PendingPage p);
@@ -308,7 +285,6 @@ class SchedulerImpl {
   }
 
   BufferManager* buffer() { return &buffer_; }
-  StorageEngine* storage() { return storage_; }
   /// Pool-wide counters (fault injection outcomes). Per-query work counters
   /// live on QueryRuntime.
   EngineCounters& counters() { return counters_; }
@@ -732,9 +708,6 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
 
       EdgeSink sink(out.get());
       Status s = Status::OK();
-      const Schema& in_schema = node->num_children() > 0
-                                    ? node->child(slot).output_schema
-                                    : node->output_schema;
       if (fused.has_value()) {
         // Unary-chain collapse: one pass over the raw input page runs
         // every absorbed step plus this node's own operation, emitting
@@ -746,75 +719,7 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
             std::memory_order_relaxed);
         s = RunFusedPipeline(*fused, page, &sink, &ctr.kernel);
       } else {
-        switch (node->op) {
-        case PlanOp::kRestrict:
-          if (compiled_pred.has_value()) {
-            s = RestrictPage(*compiled_pred, page, &sink, &ctr.kernel);
-          } else {
-            ctr.kernel.interpreted_pages.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            s = RestrictPage(in_schema, *node->predicate, page, &sink);
-          }
-          break;
-        case PlanOp::kProject: {
-          if (!node->dedup) {
-            s = ProjectPage(in_schema, project_indices, page, &sink);
-            break;
-          }
-          // Parallel duplicate elimination: hash-partitioned shards so
-          // concurrent tasks only contend on colliding partitions. One
-          // projection buffer serves the whole page.
-          std::string projected;
-          for (int i = 0; i < page.num_tuples() && s.ok(); ++i) {
-            ProjectTupleInto(in_schema, page.tuple(i), project_indices,
-                             &projected);
-            DedupShard& shard = *dedup_shards[static_cast<size_t>(
-                DedupPartition(Slice(projected),
-                               static_cast<int>(dedup_shards.size())))];
-            bool fresh;
-            {
-              std::lock_guard<std::mutex> lock(shard.mu);
-              fresh = shard.set.Insert(Slice(projected));
-            }
-            if (fresh) s = sink.Emit(Slice(projected));
-          }
-          break;
-        }
-        case PlanOp::kUnion: {
-          if (node->bag_semantics) {
-            s = CopyPage(page, &sink);
-            break;
-          }
-          for (int i = 0; i < page.num_tuples() && s.ok(); ++i) {
-            bool fresh;
-            {
-              std::lock_guard<std::mutex> lock(union_mu);
-              fresh = union_seen.Insert(page.tuple(i));
-            }
-            if (fresh) s = sink.Emit(page.tuple(i));
-          }
-          break;
-        }
-        case PlanOp::kDifference: {
-          std::lock_guard<std::mutex> lock(diff_mu);
-          if (slot == 1) {
-            diff.ConsumeRight(page);
-          } else {
-            s = diff.ConsumeLeft(page, &sink);
-          }
-          break;
-        }
-        case PlanOp::kAggregate: {
-          std::lock_guard<std::mutex> lock(agg_mu);
-          s = aggregator->Consume(page);
-          break;
-        }
-        case PlanOp::kAppend:
-          s = target_file->AppendPage(page);
-          break;
-        default:
-          s = Status::Internal("unary task on non-unary node");
-        }
+        s = program->Consume(slot, page, &sink, &ctr.kernel);
       }
       if (!s.ok()) query->Fail(s.WithContext("operator task"));
     }
@@ -862,9 +767,6 @@ void NodeState::RunJoinOuter(OuterWork w) {
     }
   }
   w.first = false;
-
-  const Schema& outer_schema = node->child(0).output_schema;
-  const Schema& inner_schema = node->child(1).output_schema;
 
   for (;;) {
     std::vector<PendingPage> batch;
@@ -922,16 +824,8 @@ void NodeState::RunJoinOuter(OuterWork w) {
                             static_cast<uint64_t>(inner_page->payload_bytes()),
                             "broadcast");
         }
-        Status s;
-        if (compiled_join.has_value()) {
-          s = JoinPages(*compiled_join, *outer_page, *inner_page, &scratch,
-                        &sink, &ctr.kernel);
-        } else {
-          ctr.kernel.interpreted_pages.fetch_add(1, std::memory_order_relaxed);
-          ctr.kernel.nested_joins.fetch_add(1, std::memory_order_relaxed);
-          s = JoinPages(outer_schema, inner_schema, *node->predicate,
-                        *outer_page, *inner_page, &sink);
-        }
+        Status s = program->Join(*outer_page, *inner_page, &scratch, &sink,
+                                 &ctr.kernel);
         if (!s.ok()) {
           query->Fail(s.WithContext("join task"));
           break;
@@ -974,21 +868,11 @@ void NodeState::TryFinalize() {
 
 void NodeState::RunFinalizeAndClose() {
   if (!query->failed.load(std::memory_order_relaxed)) {
-    Status s = Status::OK();
-    switch (node->op) {
-      case PlanOp::kAggregate: {
-        EdgeSink sink(out.get());
-        std::lock_guard<std::mutex> lock(agg_mu);
-        s = aggregator->Finish(&sink);
-        break;
-      }
-      case PlanOp::kAppend: {
-        s = impl->storage()->SyncStats(target_file->relation());
-        break;
-      }
-      default:
-        break;
-    }
+    // An aggregate emits its groups; an append or delete applies its
+    // storage effect.
+    EdgeSink sink(out.get());
+    Status s = program->Finish(&sink);
+    if (s.ok()) s = program->ApplyEffect();
     if (!s.ok()) query->Fail(s.WithContext("finalize"));
   }
   Status close = out->CloseProducer();
@@ -1056,24 +940,11 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
   QueryRuntime* q = node->query;
   q->counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
   if (!q->failed.load(std::memory_order_relaxed)) {
-    const Schema& schema = node->node->output_schema;
-    const Expr* pred = node->node->predicate.get();
-    const CompiledPredicate* compiled =
-        node->compiled_pred.has_value() ? &*node->compiled_pred : nullptr;
-    Status pred_error = Status::OK();
-    auto matcher = [&](const TupleView& t) {
-      if (compiled != nullptr) return compiled->Matches(t.raw().data(), nullptr);
-      auto r = pred->EvalBool(t, nullptr);
-      if (!r.ok()) {
-        if (pred_error.ok()) pred_error = r.status();
-        return false;
-      }
-      return *r;
-    };
+    // The target relation travels as one packet; the deletion itself is
+    // the program's effect, applied when the node finalizes.
     const uint64_t before_bytes =
-        node->target_file->tuple_count() *
-        static_cast<uint64_t>(schema.tuple_width());
-    auto removed = node->target_file->DeleteWhere(matcher);
+        node->program->file()->tuple_count() *
+        static_cast<uint64_t>(node->node->output_schema.tuple_width());
     q->counters.packets.fetch_add(1, std::memory_order_relaxed);
     q->counters.arbitration_bytes.fetch_add(before_bytes,
                                             std::memory_order_relaxed);
@@ -1082,14 +953,6 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
         std::memory_order_relaxed);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, q, node->node->id, 0,
                 before_bytes, "delete");
-    if (!removed.ok()) {
-      q->Fail(removed.status().WithContext("delete"));
-    } else if (!pred_error.ok()) {
-      q->Fail(pred_error.WithContext("delete predicate"));
-    } else {
-      Status s = storage_->SyncStats(node->target_file->relation());
-      if (!s.ok()) q->Fail(s);
-    }
   }
   {
     std::lock_guard<std::mutex> lock(node->mu);
@@ -1195,30 +1058,11 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   ns->launched =
       opts().granularity != Granularity::kRelation || ns->num_inputs == 0;
 
-  // Predicate compilation: once per query per node. A refusal (division,
-  // CHAR/numeric mixing, ...) is not an error — the node interprets the
-  // tree per tuple instead, preserving exact runtime-error semantics.
-  if (n->predicate != nullptr) {
-    if (n->op == PlanOp::kRestrict || n->op == PlanOp::kDelete) {
-      const Schema& in =
-          n->num_children() > 0 ? n->child(0).output_schema : n->output_schema;
-      auto compiled = CompiledPredicate::Compile(*n->predicate, in);
-      if (compiled.ok()) {
-        ns->compiled_pred.emplace(*std::move(compiled));
-      } else {
-        q->counters.kernel.compile_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    } else if (n->op == PlanOp::kJoin) {
-      auto compiled = CompiledJoinPredicate::Compile(
-          *n->predicate, n->child(0).output_schema, n->child(1).output_schema);
-      if (compiled.ok()) {
-        ns->compiled_join.emplace(*std::move(compiled));
-      } else {
-        q->counters.kernel.compile_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
+  auto program = NodeProgram::Build(*n, storage_, &q->counters.kernel);
+  if (program.ok()) {
+    ns->program = *std::move(program);
+  } else {
+    q->Fail(program.status().WithContext("node setup"));
   }
 
   // Near-data pushdown: a marked scan compiles its consuming restrict's
@@ -1242,55 +1086,6 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
     } else {
       q->counters.pushdown.fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-
-  // Op-specific static setup.
-  Status setup = Status::OK();
-  switch (n->op) {
-    case PlanOp::kProject: {
-      const Schema& in = n->child(0).output_schema;
-      for (const std::string& name : n->columns) {
-        auto idx = in.ColumnIndex(name);
-        if (!idx.ok()) {
-          setup = idx.status();
-          break;
-        }
-        ns->project_indices.push_back(*idx);
-      }
-      if (n->dedup) {
-        const int shards = std::max(1, opts().dedup_partitions);
-        for (int i = 0; i < shards; ++i) {
-          ns->dedup_shards.push_back(std::make_unique<NodeState::DedupShard>());
-        }
-      }
-      break;
-    }
-    case PlanOp::kAggregate: {
-      auto agg = CompiledAggregate::Compile(n->child(0).output_schema,
-                                            n->output_schema, n->columns,
-                                            n->aggregates);
-      if (!agg.ok()) {
-        setup = agg.status();
-      } else {
-        ns->aggregator = *std::move(agg);
-      }
-      break;
-    }
-    case PlanOp::kAppend:
-    case PlanOp::kDelete: {
-      auto file = storage_->GetHeapFile(n->relation);
-      if (!file.ok()) {
-        setup = file.status();
-      } else {
-        ns->target_file = *file;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  if (!setup.ok()) {
-    q->Fail(setup.WithContext("node setup"));
   }
 
   // Per-edge pipeline decision for the edge to this node's plan consumer.
@@ -1376,9 +1171,9 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   // it. A fusable unary consumer first absorbs the chain of fused
   // producers below it: those nodes get no NodeState — the chain compiles
   // into ns->fused and the chain's input wires directly to this node.
-  const bool absorbs =
-      (n->op == PlanOp::kRestrict && ns->compiled_pred.has_value()) ||
-      (n->op == PlanOp::kProject && !n->dedup);
+  const bool absorbs = (n->op == PlanOp::kRestrict && ns->program != nullptr &&
+                        ns->program->predicate_compiled()) ||
+                       (n->op == PlanOp::kProject && !n->dedup);
   for (int i = 0; i < n->num_children(); ++i) {
     const PlanNode* child = &n->child(i);
     if (i == 0 && absorbs) {
@@ -1446,16 +1241,15 @@ void SchedulerImpl::LaunchQuery(QueryRuntime* q) {
         // relation, so the live head is stable for the query's duration.
         // Grid-file probes need a version timestamp to cache against, so
         // only zone maps apply here.
-        auto file = storage_->GetHeapFile(ns->node->relation);
-        if (!file.ok()) {
-          q->Fail(file.status());
+        HeapFile* file = ns->program != nullptr ? ns->program->file() : nullptr;
+        if (file == nullptr) {  // Node setup already failed the query.
           std::lock_guard<std::mutex> lock(ns->mu);
           ns->source_done = true;
           continue;
         }
-        Status flushed = (*file)->Flush();
+        Status flushed = file->Flush();
         if (!flushed.ok()) q->Fail(flushed);
-        ids = std::make_shared<std::vector<PageId>>((*file)->PageIds());
+        ids = std::make_shared<std::vector<PageId>>(file->PageIds());
       }
       if (opts().index == IndexPolicy::kHonorPlan &&
           ns->node->access_path != ScanAccessPath::kFullScan) {

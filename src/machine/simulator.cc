@@ -17,11 +17,8 @@
 #include "machine/fault_injector.h"
 #include "machine/packet.h"
 #include "machine/resources.h"
-#include "operators/compiled_aggregate.h"
-#include "operators/dedup.h"
 #include "obs/trace.h"
-#include "operators/kernels.h"
-#include "operators/set_ops.h"
+#include "operators/node_program.h"
 #include "ra/expr_compile.h"
 #include "storage/tuple.h"
 
@@ -63,6 +60,45 @@ struct StagedPage {
 
 enum class InstrPhase { kWaiting, kRunning, kFlushing, kFinished };
 
+/// PageSink at an IP. "Tuples of the result relation are first placed by
+/// the IP in an internal buffer" (Section 4.2): here one machine unit,
+/// handed back in \p full each time it fills. Counts the bytes emitted for
+/// the processor-time model.
+class IpResultSink final : public PageSink {
+ public:
+  IpResultSink(const Schema& schema, int unit, std::unique_ptr<Page>* buf,
+               std::vector<PagePtr>* full)
+      : width_(std::max(1, schema.tuple_width())),
+        unit_(unit),
+        buf_(buf),
+        full_(full) {}
+
+  Status Emit(Slice tuple) override { return EmitParts(&tuple, 1); }
+  Status EmitParts(const Slice* parts, size_t n) override {
+    for (size_t k = 0; k < n; ++k) {
+      bytes_ += static_cast<int64_t>(parts[k].size());
+    }
+    if (*buf_ == nullptr) {
+      DFDB_ASSIGN_OR_RETURN(Page page, Page::Create(0, width_, unit_));
+      *buf_ = std::make_unique<Page>(std::move(page));
+    }
+    DFDB_RETURN_IF_ERROR((*buf_)->AppendParts(parts, n));
+    if ((*buf_)->full()) {
+      full_->push_back(SealPage(std::move(**buf_)));
+      buf_->reset();
+    }
+    return Status::OK();
+  }
+  int64_t bytes() const { return bytes_; }
+
+ private:
+  int width_;
+  int unit_;
+  std::unique_ptr<Page>* buf_;
+  std::vector<PagePtr>* full_;
+  int64_t bytes_ = 0;
+};
+
 struct OperandRt {
   std::vector<StagedPage> pages;
   bool complete = false;
@@ -72,7 +108,7 @@ struct OperandRt {
   std::unique_ptr<Page> partial;
   uint64_t total_tuples = 0;
   /// Lazy compilation of a folded restrict (MachineOperand::filter), done
-  /// at the first staged page like RunKernel's per-instruction cache.
+  /// at the first staged page.
   bool filter_tried = false;
   std::optional<CompiledPredicate> filter_pred;
   /// Near-data pushdown (PlanNode::pushdown on the staged scan): the
@@ -139,26 +175,11 @@ struct InstrRt {
   /// unit index); re-dispatched to survivors ahead of the stream cursor.
   /// Exactly-once by construction: a lost unit never started.
   std::deque<std::pair<int, size_t>> lost_units;
-  /// Aggregate barrier: Finish() ran somewhere (guards re-flush after the
-  /// barrier IP dies mid-flush, and the empty-ips flush path).
-  bool agg_finished = false;
-
-  /// Predicate compilation, done lazily at the first page this instruction
-  /// executes and cached for the rest of the run. A refusal (nullopt after
-  /// `compile_tried`) pins the instruction to the interpreted kernels.
-  bool compile_tried = false;
-  std::optional<CompiledPredicate> compiled_pred;
-  std::optional<CompiledJoinPredicate> compiled_join;
+  /// What the instruction computes, built before the run starts. Its state
+  /// (a parallel project's partitions too) lives at the instruction, so
+  /// processor reassignment cannot lose it.
+  std::unique_ptr<NodeProgram> program;
   JoinScratch join_scratch;
-
-  // Barrier-operator state.
-  std::unique_ptr<CompiledAggregate> agg;
-  DuplicateEliminator dedup;
-  DifferenceOp diff;
-  uint64_t delete_matches = 0;
-  /// Parallel project: one eliminator per hash partition (lives at the
-  /// instruction so processor reassignment cannot lose it).
-  std::vector<DuplicateEliminator> pp_partitions;
 };
 
 struct IcRt {
@@ -204,7 +225,14 @@ class Sim {
       instrs_[i].def = &prog_.instructions[i];
       instrs_[i].ic = static_cast<int>(i) % cfg_.num_instruction_controllers;
       instrs_[i].operands.resize(prog_.instructions[i].operands.size());
-      InitBarrierState(&instrs_[i]);
+      auto program = NodeProgram::Build(*prog_.instructions[i].node, storage_,
+                                        &kernel_stats_,
+                                        PartitionsOf(instrs_[i]));
+      if (program.ok()) {
+        instrs_[i].program = *std::move(program);
+      } else {
+        Fail(program.status());  // Run() stops before any event.
+      }
     }
   }
 
@@ -222,20 +250,6 @@ class Sim {
 
   void Fail(const Status& s) {
     if (error_.ok()) error_ = s;
-  }
-
-  void InitBarrierState(InstrRt* ir) {
-    const MachineInstruction& def = *ir->def;
-    if (def.op == PlanOp::kAggregate) {
-      auto agg =
-          CompiledAggregate::Compile(def.operands[0].schema, def.output_schema,
-                                     def.node->columns, def.node->aggregates);
-      if (!agg.ok()) {
-        Fail(agg.status());
-        return;
-      }
-      ir->agg = std::make_unique<CompiledAggregate>(*std::move(agg));
-    }
   }
 
   /// Arrival time of an outer-ring message of \p bytes.
@@ -467,18 +481,25 @@ class Sim {
                                           : SimTime::Zero();
   }
 
-  // Kernel execution: runs the operator on \p in (and \p inner for joins),
-  // appending output tuples to the IP's result buffer; returns the full
-  // result pages produced and the output byte count.
+  /// Runs the instruction's program at \p ip on operand page \p in of
+  /// \p slot (with \p inner: one join step), appending output to the IP's
+  /// result buffer; returns the full result pages and the output bytes.
   StatusOr<std::pair<std::vector<PagePtr>, int64_t>> RunKernel(
       InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
       int partition = 0);
-  std::vector<PagePtr> DrainFullResultPages(InstrRt* ir, IpRt* ip,
-                                            bool flush_partial);
-  Status AppendResultTuple(InstrRt* ir, IpRt* ip, Slice tuple,
-                           std::vector<PagePtr>* full);
-  Status AppendResultTupleParts(InstrRt* ir, IpRt* ip, const Slice* parts,
-                                size_t n, std::vector<PagePtr>* full);
+  IpResultSink ResultSink(const InstrRt& ir, IpRt* ip,
+                          std::vector<PagePtr>* full) const {
+    const Schema& schema = ir.def->output_schema;
+    return IpResultSink(schema, MachineUnitBytes(schema), &ip->result_buf,
+                        full);
+  }
+  /// Ships the IP's partially filled result page, if any.
+  void ShipResultBuffer(int instr_id, IpRt* ip) {
+    if (ip->result_buf != nullptr && !ip->result_buf->empty()) {
+      SendResultPage(instr_id, SealPage(std::move(*ip->result_buf)));
+    }
+    ip->result_buf.reset();
+  }
 
   // ---- state -------------------------------------------------------------
   static constexpr SimTime kMcProcessing = SimTime::Micros(50);
@@ -985,12 +1006,9 @@ void Sim::ReleaseIdleIp(int instr_id, int ip_id) {
   if (it == ir.ips.end()) return;
   IpRt& ip = ips_[static_cast<size_t>(ip_id)];
   // Ship any buffered partial result before the IP changes hands.
-  for (PagePtr& page : DrainFullResultPages(&ir, &ip, /*flush_partial=*/true)) {
-    SendResultPage(instr_id, std::move(page));
-  }
+  ShipResultBuffer(instr_id, &ip);
   ir.ips.erase(it);
   ip.instr = -1;
-  ip.result_buf.reset();
   free_ips_.push_back(ip_id);
   report_.control_packets++;
   (void)SendInner(kControlBytes);  // Release message to the MC.
@@ -1664,8 +1682,7 @@ void Sim::MaybeFlush(int instr_id) {
   if (ir.ips.empty()) {
     // An aggregate's groups materialize at flush time; with no processor
     // bound (all reclaimed or dead) the finish step still needs one.
-    if (ir.def->op == PlanOp::kAggregate && ir.agg != nullptr &&
-        !ir.agg_finished && live_ips_ > 0) {
+    if (ir.program->finish_pending() && live_ips_ > 0) {
       ir.phase = InstrPhase::kRunning;
       RequestIps(instr_id);
       return;
@@ -1698,29 +1715,11 @@ void Sim::IpFlushArrive(int instr_id, int ip_id) {
   // Aggregates materialize their groups at flush time on the single
   // barrier IP.
   std::vector<PagePtr> pages;
-  if (ir.def->op == PlanOp::kAggregate && ir.agg != nullptr &&
-      !ir.agg_finished) {
-    struct FlushSink final : public PageSink {
-      Sim* sim;
-      InstrRt* ir;
-      IpRt* ip;
-      std::vector<PagePtr>* full;
-      Status Emit(Slice tuple) override {
-        return sim->AppendResultTuple(ir, ip, tuple, full);
-      }
-    };
-    FlushSink sink;
-    sink.sim = this;
-    sink.ir = &ir;
-    sink.ip = &ip;
-    sink.full = &pages;
-    Status s = ir.agg->Finish(&sink);
-    if (!s.ok()) Fail(s);
-    ir.agg_finished = true;
-  }
-  std::vector<PagePtr> partial = DrainFullResultPages(&ir, &ip, true);
+  IpResultSink sink = ResultSink(ir, &ip, &pages);
+  Status s = ir.program->Finish(&sink);
+  if (!s.ok()) Fail(s);
   for (PagePtr& p : pages) SendResultPage(instr_id, std::move(p));
-  for (PagePtr& p : partial) SendResultPage(instr_id, std::move(p));
+  ShipResultBuffer(instr_id, &ip);
   Tr(obs::TraceEventKind::kTaskExecuted, instr_id, ip_id, 0, "flush");
   const SimTime service = cfg_.processor.packet_overhead;
   const SimTime done = ip.proc.Acquire(eq_.now(), service);
@@ -1742,38 +1741,9 @@ void Sim::FinishInstr(int instr_id) {
   if (ir.phase == InstrPhase::kFinished) return;
   ir.phase = InstrPhase::kFinished;
 
-  // Deferred side effects.
-  if (ir.def->op == PlanOp::kDelete) {
-    auto file = storage_->GetHeapFile(ir.def->node->relation);
-    if (file.ok()) {
-      const Expr* pred = ir.def->node->predicate.get();
-      const CompiledPredicate* compiled =
-          ir.compiled_pred.has_value() ? &*ir.compiled_pred : nullptr;
-      auto removed =
-          (*file)->DeleteWhere([pred, compiled](const TupleView& t) {
-            if (compiled != nullptr) {
-              return compiled->Matches(t.raw().data(), nullptr);
-            }
-            auto r = pred->EvalBool(t, nullptr);
-            return r.ok() && *r;
-          });
-      if (!removed.ok()) Fail(removed.status());
-      auto meta = storage_->catalog().GetRelation(ir.def->node->relation);
-      if (meta.ok()) {
-        Status s = storage_->SyncStats(meta->id);
-        if (!s.ok()) Fail(s);
-      }
-    } else {
-      Fail(file.status());
-    }
-  }
-  if (ir.def->op == PlanOp::kAppend) {
-    auto meta = storage_->catalog().GetRelation(ir.def->node->relation);
-    if (meta.ok()) {
-      Status s = storage_->SyncStats(meta->id);
-      if (!s.ok()) Fail(s);
-    }
-  }
+  // Deferred storage effect (delete, append).
+  Status effect = ir.program->ApplyEffect();
+  if (!effect.ok()) Fail(effect);
 
   // Free the inner relation and any remaining residency.
   IcRt& ic = ics_[static_cast<size_t>(ir.ic)];
@@ -1990,10 +1960,7 @@ void Sim::DeclareIpDead(int ip_id) {
     // Ship output still buffered at the dead station: its kernels ran at
     // packet acceptance, so everything here came from units that committed
     // (the units salvaged below never started).
-    for (PagePtr& page :
-         DrainFullResultPages(&ir, &ip, /*flush_partial=*/true)) {
-      SendResultPage(instr_id, std::move(page));
-    }
+    ShipResultBuffer(instr_id, &ip);
     // Salvage the undelivered assignment, if one is pending.
     if (ip.assign.has_value()) {
       const IpRt::PendingAssign a = *ip.assign;
@@ -2033,7 +2000,6 @@ void Sim::DeclareIpDead(int ip_id) {
     ip.instr = -1;
     ip.busy = false;
     ip.flush_sent = false;
-    ip.result_buf.reset();
     ip.has_outer = false;
     ip.irc.Resize(0);
     ip.pending_inner.clear();
@@ -2044,9 +2010,7 @@ void Sim::DeclareIpDead(int ip_id) {
       DispatchWork(instr_id);
       MaybeFlush(instr_id);
     } else if (ir.phase == InstrPhase::kFlushing) {
-      const bool agg_pending = ir.def->op == PlanOp::kAggregate &&
-                               ir.agg != nullptr && !ir.agg_finished;
-      if (agg_pending) {
+      if (ir.program->finish_pending()) {
         // The barrier processor died before materializing the groups;
         // the aggregate state lives at the instruction, so re-run the
         // finish flush on a fresh grant.
@@ -2123,212 +2087,18 @@ void Sim::InjectCacheStall(SimTime duration) {
 // Kernels at the IPs (execution-driven)
 // ---------------------------------------------------------------------------
 
-Status Sim::AppendResultTuple(InstrRt* ir, IpRt* ip, Slice tuple,
-                              std::vector<PagePtr>* full) {
-  const Slice parts[1] = {tuple};
-  return AppendResultTupleParts(ir, ip, parts, 1, full);
-}
-
-Status Sim::AppendResultTupleParts(InstrRt* ir, IpRt* ip, const Slice* parts,
-                                   size_t n, std::vector<PagePtr>* full) {
-  if (ip->result_buf == nullptr) {
-    const int unit = MachineUnitBytes(ir->def->output_schema);
-    DFDB_ASSIGN_OR_RETURN(
-        Page page,
-        Page::Create(0, std::max(1, ir->def->output_schema.tuple_width()),
-                     unit));
-    ip->result_buf = std::make_unique<Page>(std::move(page));
-  }
-  DFDB_RETURN_IF_ERROR(ip->result_buf->AppendParts(parts, n));
-  if (ip->result_buf->full()) {
-    full->push_back(SealPage(std::move(*ip->result_buf)));
-    ip->result_buf.reset();
-  }
-  return Status::OK();
-}
-
-std::vector<PagePtr> Sim::DrainFullResultPages(InstrRt* ir, IpRt* ip,
-                                               bool flush_partial) {
-  (void)ir;
-  std::vector<PagePtr> out;
-  if (flush_partial && ip->result_buf != nullptr && !ip->result_buf->empty()) {
-    out.push_back(SealPage(std::move(*ip->result_buf)));
-    ip->result_buf.reset();
-  }
-  return out;
-}
-
 StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
     InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
     int partition) {
   std::vector<PagePtr> full;
-  struct Sink final : public PageSink {
-    Sim* sim;
-    InstrRt* ir;
-    IpRt* ip;
-    std::vector<PagePtr>* full;
-    int64_t bytes = 0;
-    Status Emit(Slice tuple) override {
-      bytes += static_cast<int64_t>(tuple.size());
-      return sim->AppendResultTuple(ir, ip, tuple, full);
-    }
-    Status EmitParts(const Slice* parts, size_t n) override {
-      for (size_t k = 0; k < n; ++k) {
-        bytes += static_cast<int64_t>(parts[k].size());
-      }
-      return sim->AppendResultTupleParts(ir, ip, parts, n, full);
-    }
-  };
-  Sink sink;
-  sink.sim = this;
-  sink.ir = ir;
-  sink.ip = ip;
-  sink.full = &full;
-
-  const MachineInstruction& def = *ir->def;
-  const Schema& in_schema =
-      def.operands[static_cast<size_t>(slot)].schema;
-  Status s = Status::OK();
-  switch (def.op) {
-    case PlanOp::kRestrict:
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled =
-            CompiledPredicate::Compile(*def.node->predicate, in_schema);
-        if (compiled.ok()) {
-          ir->compiled_pred.emplace(*std::move(compiled));
-        } else {
-          kernel_stats_.compile_fallbacks.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        }
-      }
-      if (ir->compiled_pred.has_value()) {
-        s = RestrictPage(*ir->compiled_pred, in, &sink, &kernel_stats_);
-      } else {
-        kernel_stats_.interpreted_pages.fetch_add(1, std::memory_order_relaxed);
-        s = RestrictPage(in_schema, *def.node->predicate, in, &sink);
-      }
-      break;
-    case PlanOp::kProject: {
-      std::vector<int> indices;
-      for (const std::string& name : def.node->columns) {
-        auto idx = in_schema.ColumnIndex(name);
-        if (!idx.ok()) {
-          s = idx.status();
-          break;
-        }
-        indices.push_back(*idx);
-      }
-      if (!s.ok()) break;
-      if (!def.node->dedup) {
-        s = ProjectPage(in_schema, indices, in, &sink);
-      } else if (IsParallelProject(*ir)) {
-        // Section 5.0 parallel project: this IP owns one hash partition
-        // and emits only first-seen tuples of that partition.
-        const int parts = PartitionsOf(*ir);
-        if (ir->pp_partitions.empty()) {
-          ir->pp_partitions.resize(static_cast<size_t>(parts));
-        }
-        DuplicateEliminator& mine =
-            ir->pp_partitions[static_cast<size_t>(partition)];
-        std::string projected;
-        for (int i = 0; i < in.num_tuples() && s.ok(); ++i) {
-          ProjectTupleInto(in_schema, in.tuple(i), indices, &projected);
-          if (DedupPartition(Slice(projected), parts) != partition) continue;
-          if (mine.Insert(Slice(projected))) {
-            s = sink.Emit(Slice(projected));
-          }
-        }
-      } else {
-        std::string projected;
-        for (int i = 0; i < in.num_tuples() && s.ok(); ++i) {
-          ProjectTupleInto(in_schema, in.tuple(i), indices, &projected);
-          if (ir->dedup.Insert(Slice(projected))) {
-            s = sink.Emit(Slice(projected));
-          }
-        }
-      }
-      break;
-    }
-    case PlanOp::kJoin:
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled = CompiledJoinPredicate::Compile(
-            *def.node->predicate, def.operands[0].schema,
-            def.operands[1].schema);
-        if (compiled.ok()) {
-          ir->compiled_join.emplace(*std::move(compiled));
-        } else {
-          kernel_stats_.compile_fallbacks.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        }
-      }
-      if (ir->compiled_join.has_value()) {
-        s = JoinPages(*ir->compiled_join, in, *inner, &ir->join_scratch, &sink,
-                      &kernel_stats_);
-      } else {
-        kernel_stats_.interpreted_pages.fetch_add(1, std::memory_order_relaxed);
-        kernel_stats_.nested_joins.fetch_add(1, std::memory_order_relaxed);
-        s = JoinPages(def.operands[0].schema, def.operands[1].schema,
-                      *def.node->predicate, in, *inner, &sink);
-      }
-      break;
-    case PlanOp::kUnion:
-      if (def.node->bag_semantics) {
-        s = CopyPage(in, &sink);
-      } else {
-        for (int i = 0; i < in.num_tuples() && s.ok(); ++i) {
-          if (ir->dedup.Insert(in.tuple(i))) {
-            s = sink.Emit(in.tuple(i));
-          }
-        }
-      }
-      break;
-    case PlanOp::kDifference:
-      if (slot == 1) {
-        ir->diff.ConsumeRight(in);
-      } else {
-        s = ir->diff.ConsumeLeft(in, &sink);
-      }
-      break;
-    case PlanOp::kAggregate:
-      s = ir->agg->Consume(in);
-      break;
-    case PlanOp::kAppend: {
-      auto file = storage_->GetHeapFile(def.node->relation);
-      if (!file.ok()) {
-        s = file.status();
-      } else {
-        s = (*file)->AppendPage(in);
-      }
-      break;
-    }
-    case PlanOp::kDelete: {
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled =
-            CompiledPredicate::Compile(*def.node->predicate, in_schema);
-        if (compiled.ok()) ir->compiled_pred.emplace(*std::move(compiled));
-      }
-      if (ir->compiled_pred.has_value()) {
-        ir->delete_matches += CountMatches(*ir->compiled_pred, in,
-                                           &kernel_stats_);
-      } else {
-        auto matched =
-            CountMatches(in_schema, *def.node->predicate, in, &kernel_stats_);
-        if (!matched.ok()) {
-          s = matched.status();
-        } else {
-          ir->delete_matches += *matched;
-        }
-      }
-      break;
-    }
-    default:
-      s = Status::Internal("unsupported machine op");
-  }
-  if (!s.ok()) return s;
-  return std::make_pair(std::move(full), sink.bytes);
+  IpResultSink sink = ResultSink(*ir, ip, &full);
+  DFDB_RETURN_IF_ERROR(
+      inner != nullptr
+          ? ir->program->Join(in, *inner, &ir->join_scratch, &sink,
+                              &kernel_stats_)
+          : ir->program->Consume(slot, in, &sink, &kernel_stats_,
+                                 partition));
+  return std::make_pair(std::move(full), sink.bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -2336,6 +2106,7 @@ StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
 // ---------------------------------------------------------------------------
 
 Status Sim::Run() {
+  if (!error_.ok()) return error_;  // A program failed to build.
   ArmFaults();
   SubmitAll();
   report_.events = eq_.RunToCompletion(opt_.max_events);

@@ -3,9 +3,11 @@
 ///
 /// The paper leaves a parallel project algorithm as future work
 /// (Section 5.0). We implement the sequential core here and the
-/// partitioned-parallel variant in the engine: tuples are hash-partitioned
-/// by content, so each partition's eliminator never sees another
-/// partition's duplicates and partitions dedup independently in parallel.
+/// partitioned-parallel variant in NodeProgram (operators/node_program.h):
+/// tuples are hash-partitioned by content, so each partition's eliminator
+/// never sees another partition's duplicates and partitions dedup
+/// independently in parallel — as shards under concurrent engine tasks,
+/// and as one partition per simulated IP in the parallel project.
 
 #ifndef DFDB_OPERATORS_DEDUP_H_
 #define DFDB_OPERATORS_DEDUP_H_

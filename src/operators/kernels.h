@@ -2,9 +2,10 @@
 /// \brief Stateless page-at-a-time operator kernels.
 ///
 /// These are the computations an instruction processor performs on the data
-/// page(s) of one instruction packet. Both execution engines call them: the
-/// multithreaded engine directly, the machine simulator to derive result
-/// sizes for its timing model.
+/// page(s) of one instruction packet. Both backends reach them through the
+/// plan node's NodeProgram (operators/node_program.h): the threads engine
+/// from its worker tasks, the machine simulator at its simulated IPs, whose
+/// timing model also charges for the output size.
 ///
 /// Each predicate-driven kernel comes in two flavours. The Expr flavour
 /// interprets the tree per tuple; it is the semantic reference (the

@@ -376,6 +376,40 @@ TEST_F(SimulatorTest, ParallelProjectUnderJoin) {
   ExpectSameResult(expected, report.results[0]);
 }
 
+TEST_F(SimulatorTest, KernelCountsMatchAcrossBackends) {
+  // Both backends run one program per plan node, built before any page
+  // moves: a predicate the compiler refuses is one compile fallback whether
+  // or not pages reach it, and a delete evaluates its predicate once, in
+  // its delete step, rather than per staged page.
+  std::vector<PlanNodePtr> plans;
+  plans.push_back(
+      MakeDelete("alpha", Lt(Div(Col("k1000"), Lit(3)), Lit(100))));
+  plans.push_back(
+      MakeRestrict(MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(0))),
+                   Lt(Div(Col("k1000"), Lit(3)), Lit(100))));
+  plans.push_back(MakeDelete("alpha", Lt(Col("k1000"), Lit(100))));
+  const uint64_t want_fallbacks[] = {1, 1, 0};
+  // A delete mutates alpha, so every run starts from the same fresh copy.
+  auto fresh_alpha = [] {
+    auto storage = std::make_unique<StorageEngine>(/*default_page_bytes=*/2000);
+    EXPECT_OK(GenerateRelation(storage.get(), "alpha", 400, 3).status());
+    return storage;
+  };
+  for (size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE(i);
+    auto engine_db = fresh_alpha();
+    ExecOptions eopts;
+    eopts.page_bytes = 2000;
+    ExecStats engine;
+    ASSERT_OK(RunQuery(engine_db.get(), *plans[i], eopts, &engine).status());
+    auto machine_db = fresh_alpha();
+    MachineSimulator sim(machine_db.get(), Options(Granularity::kPage));
+    ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run({plans[i].get()}));
+    EXPECT_EQ(engine.kernel.ToString(), report.kernel.ToString());
+    EXPECT_EQ(report.kernel.compile_fallbacks, want_fallbacks[i]);
+  }
+}
+
 TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   auto plan =
       MakeJoin(MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(300))),

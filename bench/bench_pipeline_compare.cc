@@ -8,11 +8,8 @@
 ///   serial      — one IP, relation granularity (one node at a time);
 ///   pipelined   — relation granularity with #IPs = #nodes (one processor
 ///                 per node, successors wait for completion);
-///   data-flow   — page granularity with the same #IPs, free assignment;
-///   fused       — data-flow plus the per-edge pipeline-fusion decision
-///                 (PipelinePolicy::kForceFuse): restrict-over-base
-///                 producers fold into the consumer's operand staging, so
-///                 they never occupy an IP at all.
+///   data-flow   — page granularity with the same #IPs, free assignment.
+/// Per-edge pipeline fusion on the same mix is bench_pipeline_fusion's.
 /// Also reports the uniprocessor nested-loops vs sorted-merge baseline on
 /// the reference executor (Blasgen & Eswaran, Section 2.1).
 
@@ -36,8 +33,8 @@ int Main(int argc, char** argv) {
   std::vector<Query> queries = MakePaperBenchmarkQueries();
 
   bench::Table table(
-      {"query", "nodes", "serial_s", "pipelined_s", "dataflow_s", "fused_s",
-       "dataflow_speedup_vs_pipe", "fused_speedup_vs_dataflow"});
+      {"query", "nodes", "serial_s", "pipelined_s", "dataflow_s",
+       "dataflow_speedup_vs_pipe"});
   Analyzer analyzer(&storage.catalog());
   for (const Query& q : queries) {
     auto clone = q.root->Clone();
@@ -49,8 +46,8 @@ int Main(int argc, char** argv) {
             ? 1
             : analysis->num_joins + analysis->num_restricts +
                   analysis->num_projects;
-    double times[4];
-    for (int mode = 0; mode < 4; ++mode) {
+    double times[3];
+    for (int mode = 0; mode < 3; ++mode) {
       MachineOptions opts;
       opts.config.page_bytes = 16384;
       opts.config.num_instruction_controllers = 8;
@@ -67,11 +64,6 @@ int Main(int argc, char** argv) {
           opts.granularity = Granularity::kPage;
           opts.config.num_instruction_processors = std::max(1, instr_count);
           break;
-        case 3:  // Data-flow with every foldable edge fused.
-          opts.granularity = Granularity::kPage;
-          opts.config.num_instruction_processors = std::max(1, instr_count);
-          opts.pipeline = PipelinePolicy::kForceFuse;
-          break;
       }
       MachineSimulator sim(&storage, opts);
       auto report = sim.Run({q.root.get()});
@@ -80,9 +72,8 @@ int Main(int argc, char** argv) {
     }
     table.AddRow({q.name, StrFormat("%d", instr_count),
                   StrFormat("%.3f", times[0]), StrFormat("%.3f", times[1]),
-                  StrFormat("%.3f", times[2]), StrFormat("%.3f", times[3]),
-                  StrFormat("%.2fx", times[1] / times[2]),
-                  StrFormat("%.2fx", times[2] / times[3])});
+                  StrFormat("%.3f", times[2]),
+                  StrFormat("%.2fx", times[1] / times[2])});
   }
   table.Print("pipe");
 

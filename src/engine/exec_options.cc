@@ -1,7 +1,5 @@
 #include "engine/exec_options.h"
 
-#include "common/string_util.h"
-
 namespace dfdb {
 
 std::string_view GranularityToString(Granularity g) {
@@ -14,49 +12,6 @@ std::string_view GranularityToString(Granularity g) {
       return "tuple";
   }
   return "?";
-}
-
-std::string_view PipelinePolicyToString(PipelinePolicy p) {
-  switch (p) {
-    case PipelinePolicy::kHonorPlan:
-      return "plan";
-    case PipelinePolicy::kForceMaterialize:
-      return "materialize";
-    case PipelinePolicy::kForceFuse:
-      return "fuse";
-  }
-  return "?";
-}
-
-std::string_view IndexPolicyToString(IndexPolicy p) {
-  switch (p) {
-    case IndexPolicy::kHonorPlan:
-      return "plan";
-    case IndexPolicy::kForceFullScan:
-      return "full_scan";
-  }
-  return "?";
-}
-
-std::string_view PushdownPolicyToString(PushdownPolicy p) {
-  switch (p) {
-    case PushdownPolicy::kHonorPlan:
-      return "plan";
-    case PushdownPolicy::kForceOff:
-      return "off";
-  }
-  return "?";
-}
-
-std::string ExecOptions::ToString() const {
-  return StrFormat(
-      "granularity=%s procs=%d cells=%d page=%dB local=%dp cache=%dp "
-      "pipeline=%s index=%s pushdown=%s",
-      std::string(GranularityToString(granularity)).c_str(), num_processors,
-      memory_cells_per_processor, page_bytes, local_memory_pages,
-      disk_cache_pages, std::string(PipelinePolicyToString(pipeline)).c_str(),
-      std::string(IndexPolicyToString(index)).c_str(),
-      std::string(PushdownPolicyToString(pushdown)).c_str());
 }
 
 }  // namespace dfdb

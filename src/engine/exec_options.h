@@ -4,8 +4,9 @@
 #ifndef DFDB_ENGINE_EXEC_OPTIONS_H_
 #define DFDB_ENGINE_EXEC_OPTIONS_H_
 
-#include <string>
 #include <string_view>
+
+#include "ra/plan.h"
 
 namespace dfdb {
 
@@ -23,45 +24,6 @@ enum class Granularity {
 };
 
 std::string_view GranularityToString(Granularity g);
-
-/// \brief How an engine treats the optimizer's per-edge pipeline marks
-/// (PlanNode::pipeline_fused; see DESIGN.md "Pipeline fusion").
-enum class PipelinePolicy {
-  /// Fuse exactly the edges the optimizer marked (default).
-  kHonorPlan,
-  /// Materialize every edge regardless of marks — the pre-fusion
-  /// behaviour, and the differential-testing baseline.
-  kForceMaterialize,
-  /// Fuse every edge that passes the safety conditions (PipelineEdgeSafe),
-  /// marked or not. Stats vetoes are ignored; safety is still enforced.
-  kForceFuse,
-};
-
-std::string_view PipelinePolicyToString(PipelinePolicy p);
-
-/// \brief How an engine treats the optimizer's per-scan access-path marks
-/// (PlanNode::access_path; see DESIGN.md "Indexing & page pruning").
-enum class IndexPolicy {
-  /// Prune marked scans through zone maps / grid files (default).
-  kHonorPlan,
-  /// Read every page regardless of marks — the pre-index behaviour, and
-  /// the differential-testing baseline.
-  kForceFullScan,
-};
-
-std::string_view IndexPolicyToString(IndexPolicy p);
-
-/// \brief How an engine treats the optimizer's per-scan pushdown marks
-/// (PlanNode::pushdown; see DESIGN.md "Near-data pushdown").
-enum class PushdownPolicy {
-  /// Execute marked restricts inside the storage hierarchy (default).
-  kHonorPlan,
-  /// Ship raw pages and filter at the processors regardless of marks —
-  /// the pre-pushdown behaviour, and the differential-testing baseline.
-  kForceOff,
-};
-
-std::string_view PushdownPolicyToString(PushdownPolicy p);
 
 /// \brief Deterministic fault schedule for the threaded engine — the
 /// analogue of the machine simulator's FaultPlan. Workers abandon work at
@@ -85,8 +47,9 @@ struct EngineFaultPlan {
   bool active() const { return abandon_workers > 0 || poison_packets > 0; }
 };
 
-/// \brief Knobs of one engine instantiation.
-struct ExecOptions {
+/// \brief Knobs of one engine instantiation. The inherited PlanPolicies
+/// override the optimizer's marks on each query's resolved clone.
+struct ExecOptions : PlanPolicies {
   Granularity granularity = Granularity::kPage;
 
   /// Number of worker threads = instruction processors.
@@ -111,17 +74,6 @@ struct ExecOptions {
   /// the network-traffic statistics.
   int packet_overhead_bytes = 64;
 
-  /// Per-edge pipeline-vs-materialize execution policy.
-  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
-
-  /// Per-scan access-path execution policy (honor index marks vs force
-  /// full scans).
-  IndexPolicy index = IndexPolicy::kHonorPlan;
-
-  /// Per-scan near-data pushdown policy (filter marked scans inside the
-  /// storage hierarchy vs ship raw pages).
-  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
-
   /// Deterministic fault schedule (empty = healthy workers).
   EngineFaultPlan fault_plan;
 
@@ -129,8 +81,6 @@ struct ExecOptions {
   /// default: with tracing disabled the engine only keeps its counters and
   /// the observability layer costs one branch per event site.
   bool enable_trace = false;
-
-  std::string ToString() const;
 };
 
 }  // namespace dfdb

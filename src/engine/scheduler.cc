@@ -61,6 +61,9 @@ struct NodeState {
   const PlanNode* node = nullptr;
   NodeState* parent = nullptr;  // Null for the root.
   int parent_slot = 0;
+  /// The node's consumer in the plan: parent->node, unless a fused chain
+  /// was absorbed in between (null for the root). A scan opens against it.
+  const PlanNode* plan_consumer = nullptr;
   std::unique_ptr<Edge> out;
 
   // Static (post-analysis) configuration.
@@ -69,9 +72,9 @@ struct NodeState {
   /// failed the query).
   std::unique_ptr<NodeProgram> program;
   /// Near-data pushdown (kScan on a marked plan): the consuming restrict's
-  /// predicate, compiled against the scan schema, run by the buffer
-  /// hierarchy during the cache -> local transfer so only survivors ride
-  /// the edge. Empty = raw path.
+  /// predicate, compiled against the scan schema by OpenScan at launch, run
+  /// by the buffer hierarchy during the cache -> local transfer so only
+  /// survivors ride the edge. Empty = raw path.
   std::optional<CompiledPredicate> pushdown_pred;
   /// Pipeline fusion (unary-chain collapse): the steps of every absorbed
   /// fused producer below this node plus this node's own operation, run as
@@ -160,7 +163,7 @@ struct QueryRuntime {
   bool bypassed_admission = false;
 
   /// The immutable point-in-time view this query's scans execute against,
-  /// stamped at admission (invalid in barrier mode). Released when the
+  /// stamped at admission in both concurrency modes. Released when the
   /// runtime is reaped — outside admit_mu_ — which is what lets version GC
   /// key off "no live snapshot can see it".
   Snapshot snapshot;
@@ -285,9 +288,6 @@ class SchedulerImpl {
   }
 
   BufferManager* buffer() { return &buffer_; }
-  /// Pool-wide counters (fault injection outcomes). Per-query work counters
-  /// live on QueryRuntime.
-  EngineCounters& counters() { return counters_; }
 
   /// Steady-clock nanoseconds since the scheduler started (trace
   /// timestamps).
@@ -322,12 +322,13 @@ class SchedulerImpl {
                                                   size_t batch_index);
   /// \p plan_parent is the node's consumer in the *plan* (distinct from the
   /// runtime \p parent when a fused chain was absorbed in between); it is
-  /// what the per-edge pipeline decision is evaluated against.
+  /// what the per-edge pipeline decision and a scan's pushdown are
+  /// evaluated against.
   NodeState* BuildNode(const PlanNode* n, NodeState* parent, int slot,
                        QueryRuntime* q, const PlanNode* plan_parent);
-  /// True when the edge \p producer -> \p consumer runs fused under the
-  /// session policy. With \p count_fallback set, a plan-marked edge the
-  /// safety conditions reject is recorded as a runtime fallback (the
+  /// True when the plan marks the edge \p producer -> \p consumer fused and
+  /// the safety conditions hold. With \p count_fallback set, a marked edge
+  /// the safety conditions reject is recorded as a runtime fallback (the
   /// absorption chain walk passes false; the edge is classified — and
   /// counted — once, when its producer node is built).
   bool EdgeFused(const PlanNode& producer, const PlanNode& consumer,
@@ -339,10 +340,10 @@ class SchedulerImpl {
   /// Enqueues every source-driver task of \p q as one atomic batch. The
   /// caller must hold an `in_flight` reference on \p q (see MaybeReap).
   void LaunchQuery(QueryRuntime* q);
-  /// Snapshot mode, at admission (admit_mu_ held): publishes committed
-  /// state the query is entitled to see, captures its snapshot, and
-  /// registers its write ownership. Because admissions are serialized under
-  /// admit_mu_, snapshot timestamps derive from admission order — the
+  /// At admission, in both concurrency modes (admit_mu_ held): publishes
+  /// committed state the query is entitled to see, captures its snapshot,
+  /// and registers its write ownership. Because admissions are serialized
+  /// under admit_mu_, snapshot timestamps derive from admission order — the
   /// deterministic-replay property.
   void StampSnapshotLocked(QueryRuntime* q);
   bool snapshot_mode() const {
@@ -403,10 +404,9 @@ class SchedulerImpl {
   uint64_t next_qid_ = 1;
   uint64_t next_batch_index_ = 0;
   int active_queries_ = 0;
-  /// Snapshot mode: relation -> qid of the admitted writer mutating it
-  /// (under admit_mu_). StampSnapshotLocked must not commit a relation
-  /// another writer still owns — its uncommitted head is private until that
-  /// writer completes.
+  /// Relation -> qid of the admitted writer mutating it (under admit_mu_).
+  /// StampSnapshotLocked must not commit a relation another writer still
+  /// owns — its uncommitted head is private until that writer completes.
   std::map<std::string, uint64_t> writing_relations_;
   /// Storage MVCC counters at construction (see MvccDelta).
   MvccStats mvcc_baseline_;
@@ -886,10 +886,19 @@ void NodeState::RunFinalizeAndClose() {
 void SchedulerImpl::ScanStep(NodeState* node,
                              std::shared_ptr<std::vector<PageId>> ids,
                              size_t idx) {
-  node->query->counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
   if (node->query->failed.load(std::memory_order_relaxed)) {
     idx = ids->size();  // Stop producing.
   }
+  // Memory-cell throttle: sources yield while the packet backlog exceeds
+  // cells-per-processor * processors (the paper's "two memory cells for
+  // each processor" resource bound). A yield runs no step, so it is not
+  // counted as a task.
+  if (idx < ids->size() && ThrottleExceeded()) {
+    Dispatch(node->query, [this, node, ids, idx] { ScanStep(node, ids, idx); });
+    std::this_thread::yield();
+    return;
+  }
+  node->query->counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
   if (idx >= ids->size()) {
     {
       std::lock_guard<std::mutex> lock(node->mu);
@@ -897,14 +906,6 @@ void SchedulerImpl::ScanStep(NodeState* node,
       --node->pending;
     }
     node->TryFinalize();
-    return;
-  }
-  // Memory-cell throttle: sources yield while the packet backlog exceeds
-  // cells-per-processor * processors (the paper's "two memory cells for
-  // each processor" resource bound).
-  if (ThrottleExceeded()) {
-    Dispatch(node->query, [this, node, ids, idx] { ScanStep(node, ids, idx); });
-    std::this_thread::yield();
     return;
   }
   if (node->pushdown_pred.has_value()) {
@@ -973,6 +974,7 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
   q->plan = plan.Clone();
   Analyzer analyzer(&storage_->catalog());
   DFDB_ASSIGN_OR_RETURN(q->analysis, analyzer.Resolve(q->plan.get()));
+  ApplyPlanPolicies(opts(), q->plan.get());
   NodeState* root = BuildNode(q->plan.get(), nullptr, 0, q.get(), nullptr);
   if (root == nullptr) {
     return Status::Internal("failed to build node graph");
@@ -985,24 +987,13 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
 bool SchedulerImpl::EdgeFused(const PlanNode& producer,
                               const PlanNode& consumer, QueryRuntime* q,
                               bool count_fallback) {
-  if (producer.op == PlanOp::kScan) return false;
-  switch (opts().pipeline) {
-    case PipelinePolicy::kForceMaterialize:
-      return false;
-    case PipelinePolicy::kForceFuse:
-      return PipelineEdgeSafe(producer, consumer);
-    case PipelinePolicy::kHonorPlan:
-      if (!producer.pipeline_fused) return false;
-      if (!PipelineEdgeSafe(producer, consumer)) {
-        // The plan asked for fusion the engine cannot prove safe (e.g. a
-        // hand-marked plan): fall back to materialization.
-        if (count_fallback) {
-          q->counters.pipeline_runtime_fallbacks.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        return false;
-      }
-      return true;
+  if (producer.op == PlanOp::kScan || !producer.pipeline_fused) return false;
+  if (PipelineEdgeSafe(producer, consumer)) return true;
+  // The plan asked for fusion the engine cannot prove safe (e.g. a
+  // hand-marked plan): fall back to materialization.
+  if (count_fallback) {
+    q->counters.pipeline_runtime_fallbacks.fetch_add(1,
+                                                     std::memory_order_relaxed);
   }
   return false;
 }
@@ -1049,6 +1040,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   ns->node = n;
   ns->parent = parent;
   ns->parent_slot = slot;
+  ns->plan_consumer = plan_parent;
   ns->num_inputs = n->num_children();
   ns->input_closed.assign(static_cast<size_t>(ns->num_inputs), false);
   ns->pending_slot.assign(static_cast<size_t>(std::max(ns->num_inputs, 1)), 0);
@@ -1063,29 +1055,6 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
     ns->program = *std::move(program);
   } else {
     q->Fail(program.status().WithContext("node setup"));
-  }
-
-  // Near-data pushdown: a marked scan compiles its consuming restrict's
-  // predicate against the scan schema and reads through the buffer
-  // hierarchy's filtered path. plan_parent is the scan's direct plan
-  // consumer in both the plain and fused-absorbed wirings, so the shape
-  // check holds whenever the optimizer marked a restrict-over-scan. The
-  // restrict re-applies the same program to the survivors — compiled
-  // predicates are infallible per tuple, so re-filtering is idempotent.
-  if (n->op == PlanOp::kScan && n->pushdown &&
-      opts().pushdown == PushdownPolicy::kHonorPlan) {
-    if (plan_parent != nullptr && plan_parent->op == PlanOp::kRestrict &&
-        plan_parent->predicate != nullptr) {
-      auto compiled =
-          CompiledPredicate::Compile(*plan_parent->predicate, n->output_schema);
-      if (compiled.ok()) {
-        ns->pushdown_pred.emplace(*std::move(compiled));
-      } else {
-        q->counters.pushdown.fallbacks.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      q->counters.pushdown.fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 
   // Per-edge pipeline decision for the edge to this node's plan consumer.
@@ -1219,45 +1188,23 @@ void SchedulerImpl::LaunchQuery(QueryRuntime* q) {
   for (auto& node : q->nodes) {
     NodeState* ns = node.get();
     if (ns->node->op == PlanOp::kScan) {
-      std::shared_ptr<std::vector<PageId>> ids;
-      uint64_t view_commit_ts = 0;
-      bool allow_gridfile = false;
-      if (q->snapshot.valid()) {
-        // Snapshot mode: scan the immutable version this query's snapshot
-        // resolves to. The pages are sealed and committed, so no flush and
-        // no coordination with concurrent writers is needed.
-        auto view = q->snapshot.View(ns->node->relation);
-        if (!view.ok()) {
-          q->Fail(view.status().WithContext("snapshot view"));
-          std::lock_guard<std::mutex> lock(ns->mu);
-          ns->source_done = true;
-          continue;
-        }
-        view_commit_ts = view->commit_ts;
-        allow_gridfile = true;
-        ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
-      } else {
-        // Barrier mode: admission already excluded writers of this
-        // relation, so the live head is stable for the query's duration.
-        // Grid-file probes need a version timestamp to cache against, so
-        // only zone maps apply here.
-        HeapFile* file = ns->program != nullptr ? ns->program->file() : nullptr;
-        if (file == nullptr) {  // Node setup already failed the query.
-          std::lock_guard<std::mutex> lock(ns->mu);
-          ns->source_done = true;
-          continue;
-        }
-        Status flushed = file->Flush();
-        if (!flushed.ok()) q->Fail(flushed);
-        ids = std::make_shared<std::vector<PageId>>(file->PageIds());
+      // Scan the immutable version this query's snapshot resolves to. The
+      // pages are sealed and committed, so no flush and no coordination
+      // with concurrent writers is needed.
+      IndexPruneCounters index;
+      PushdownCounters pushdown;
+      auto opened = OpenScan(storage_, q->snapshot, *ns->node,
+                             ns->plan_consumer, &index, &pushdown);
+      q->counters.index.Add(index);
+      q->counters.pushdown.Add(pushdown);
+      if (!opened.ok()) {
+        q->Fail(opened.status().WithContext("snapshot view"));
+        std::lock_guard<std::mutex> lock(ns->mu);
+        ns->source_done = true;
+        continue;
       }
-      if (opts().index == IndexPolicy::kHonorPlan &&
-          ns->node->access_path != ScanAccessPath::kFullScan) {
-        IndexPruneCounters local;
-        *ids = PruneScanPages(storage_, *ns->node, *ids, view_commit_ts,
-                              allow_gridfile, &local);
-        q->counters.index.Add(local);
-      }
+      ns->pushdown_pred = std::move(opened->pushdown);
+      auto ids = std::make_shared<std::vector<PageId>>(std::move(opened->pages));
       {
         std::lock_guard<std::mutex> lock(ns->mu);
         ++ns->pending;
@@ -1351,7 +1298,7 @@ StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan) {
     if (admitted) {
       ++totals_.admitted_immediately;
       ++active_queries_;
-      if (snapshot_mode()) StampSnapshotLocked(q);
+      StampSnapshotLocked(q);
     } else {
       ++totals_.queued;
       q->was_queued = true;
@@ -1415,21 +1362,20 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
     }
     q->intermediates.clear();
   }
-  // Snapshot mode, writer epilogue: a failed writer's uncommitted head
-  // mutations are rolled back to the last committed version; a successful
-  // writer's are committed (usually a no-op — the execution paths publish
-  // through SyncStats — but it guarantees the next admission's snapshot
-  // sees this writer's effects). Safe outside admit_mu_: this query still
-  // owns its write relations in writing_relations_, so no concurrent
-  // admission will commit or publish them meanwhile.
-  if (snapshot_mode() && !q->analysis.write_set.empty()) {
-    const bool failed = q->failed.load(std::memory_order_relaxed);
-    for (const std::string& rel : q->analysis.write_set) {
-      if (failed) {
-        (void)storage_->RollbackRelation(rel);
-      } else {
-        (void)storage_->CommitRelation(rel);
-      }
+  // Writer epilogue, in both concurrency modes: a failed writer's
+  // uncommitted head mutations are rolled back to the last committed
+  // version; a successful writer's are committed (usually a no-op — the
+  // execution paths publish through SyncStats — but it guarantees the next
+  // admission's snapshot sees this writer's effects). Safe outside
+  // admit_mu_: this query still owns its write relations in
+  // writing_relations_, so no concurrent admission will commit or publish
+  // them meanwhile.
+  const bool failed = q->failed.load(std::memory_order_relaxed);
+  for (const std::string& rel : q->analysis.write_set) {
+    if (failed) {
+      (void)storage_->RollbackRelation(rel);
+    } else {
+      (void)storage_->CommitRelation(rel);
     }
   }
   std::vector<QueryRuntime*> to_launch;
@@ -1457,7 +1403,7 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
               now - cand->submitted_at)
               .count());
       ++active_queries_;
-      if (snapshot_mode()) StampSnapshotLocked(cand);
+      StampSnapshotLocked(cand);
       to_launch.push_back(cand);
     }
     --active_queries_;

@@ -51,8 +51,10 @@ enum class ConcurrencyMode {
   /// single-worker replay stays deterministic.
   kSnapshot,
   /// Legacy barrier mode: relation-granularity S/X admission — every
-  /// reader queues behind every writer of a shared relation. Kept for the
-  /// reader/writer bench comparison and as a semantics reference.
+  /// reader queues behind every writer of a shared relation. Admission is
+  /// the only difference: queries still read the snapshot stamped at
+  /// admission, and writers commit or roll back at completion. Kept for
+  /// the reader/writer bench comparison and as a semantics reference.
   kBarrier,
 };
 

@@ -99,7 +99,6 @@ std::vector<PageId> PruneScanPages(StorageEngine* storage,
                                    const PlanNode& scan,
                                    const std::vector<PageId>& pages,
                                    uint64_t view_commit_ts,
-                                   bool allow_gridfile,
                                    IndexPruneCounters* stats) {
   if (scan.access_path == ScanAccessPath::kFullScan ||
       scan.prune_bounds.empty() || pages.empty()) {
@@ -113,24 +112,20 @@ std::vector<PageId> PruneScanPages(StorageEngine* storage,
   bool have_candidates = false;
   std::unordered_set<PageId> candidates;
   if (scan.access_path == ScanAccessPath::kGridFile) {
-    bool probed = false;
-    if (allow_gridfile) {
-      auto meta = storage->catalog().GetIndex(scan.index_name);
-      if (meta.ok() && meta->relation == scan.relation) {
-        auto index = GetIndexManager(storage)->Resolve(*meta, view_commit_ts,
-                                                       pages);
-        if (index != nullptr) {
-          stats->gridfile_probes++;
-          auto result = index->Probe(scan.prune_bounds);
-          if (result.has_value()) {
-            candidates.insert(result->begin(), result->end());
-            have_candidates = true;
-          }
-          probed = true;
+    auto meta = storage->catalog().GetIndex(scan.index_name);
+    if (meta.ok() && meta->relation == scan.relation) {
+      auto index =
+          GetIndexManager(storage)->Resolve(*meta, view_commit_ts, pages);
+      if (index != nullptr) {
+        stats->gridfile_probes++;
+        auto result = index->Probe(scan.prune_bounds);
+        if (result.has_value()) {
+          candidates.insert(result->begin(), result->end());
+          have_candidates = true;
         }
       }
     }
-    if (!probed || !have_candidates) stats->fallback_scans++;
+    if (!have_candidates) stats->fallback_scans++;
   }
 
   std::vector<PageId> kept;
@@ -150,6 +145,31 @@ std::vector<PageId> PruneScanPages(StorageEngine* storage,
     kept.push_back(id);
   }
   return kept;
+}
+
+StatusOr<OpenedScan> OpenScan(StorageEngine* storage,
+                              const Snapshot& snapshot, const PlanNode& scan,
+                              const PlanNode* consumer,
+                              IndexPruneCounters* index,
+                              PushdownCounters* pushdown) {
+  DFDB_ASSIGN_OR_RETURN(SnapshotView view, snapshot.View(scan.relation));
+  OpenedScan opened;
+  opened.pages =
+      PruneScanPages(storage, scan, view.pages, view.commit_ts, index);
+  if (!scan.pushdown) return opened;
+  // The consumer re-applies the same program to the survivors; compiled
+  // predicates are infallible per tuple, so re-filtering is idempotent.
+  if (consumer != nullptr && consumer->op == PlanOp::kRestrict &&
+      consumer->predicate != nullptr) {
+    auto compiled =
+        CompiledPredicate::Compile(*consumer->predicate, scan.output_schema);
+    if (compiled.ok()) {
+      opened.pushdown.emplace(*std::move(compiled));
+      return opened;
+    }
+  }
+  pushdown->fallbacks++;
+  return opened;
 }
 
 }  // namespace dfdb

@@ -21,24 +21,25 @@ bool IsBarrierOp(const PlanNode& n) {
   }
 }
 
-/// True if the fused edge below \p child can be folded into a consumer
-/// operand: a restrict directly over a base relation whose predicate the
-/// compiler accepts. The IC then filters during staging compaction and the
-/// restrict needs no instruction at all.
-bool Foldable(const PlanNode& child) {
-  if (child.op != PlanOp::kRestrict || child.predicate == nullptr) return false;
-  if (child.num_children() != 1 || child.child(0).op != PlanOp::kScan) {
-    return false;
+/// The compiled predicate of \p child when the fused edge below it can be
+/// folded into a consumer operand: a restrict directly over a base relation
+/// whose predicate the compiler accepts. The IC then filters during staging
+/// compaction and the restrict needs no instruction at all.
+std::optional<CompiledPredicate> FoldedFilter(const PlanNode& child) {
+  if (child.op != PlanOp::kRestrict || child.predicate == nullptr ||
+      child.num_children() != 1 || child.child(0).op != PlanOp::kScan) {
+    return std::nullopt;
   }
-  return CompiledPredicate::Compile(*child.predicate,
-                                    child.child(0).output_schema)
-      .ok();
+  auto compiled = CompiledPredicate::Compile(*child.predicate,
+                                             child.child(0).output_schema);
+  if (!compiled.ok()) return std::nullopt;
+  return *std::move(compiled);
 }
 
 /// Compiles the subtree rooted at \p n; returns the producing instruction
 /// id. \p n must not be a scan.
 int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
-                PipelinePolicy pipeline, MachineProgram* prog) {
+                MachineProgram* prog) {
   MachineInstruction instr;
   instr.query_id = query_id;
   instr.query_index = query_index;
@@ -51,24 +52,19 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
     MachineOperand operand;
     operand.schema = child.output_schema;
     if (child.op == PlanOp::kScan) {
-      operand.is_base = true;
-      operand.base_relation = child.relation;
+      operand.scan = &child;
     } else {
-      const bool wants_fuse =
-          pipeline == PipelinePolicy::kForceFuse ||
-          (pipeline == PipelinePolicy::kHonorPlan && child.pipeline_fused);
-      if (wants_fuse && Foldable(child)) {
-        operand.is_base = true;
-        operand.base_relation = child.child(0).relation;
+      if (child.pipeline_fused) operand.filter_pred = FoldedFilter(child);
+      if (operand.filter_pred.has_value()) {
+        operand.scan = &child.child(0);
         operand.filter = &child;
         prog->pipeline.fused_edges++;
         instr.operands.push_back(std::move(operand));
         continue;
       }
-      if (wants_fuse) prog->pipeline.fallbacks++;
+      if (child.pipeline_fused) prog->pipeline.fallbacks++;
       prog->pipeline.materialized_edges++;
-      operand.producer =
-          CompileNode(&child, query_id, query_index, pipeline, prog);
+      operand.producer = CompileNode(&child, query_id, query_index, prog);
       prog->instructions[static_cast<size_t>(operand.producer)].consumer_slot =
           i;
     }
@@ -77,8 +73,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
   // kDelete has no children but reads its target relation as an operand.
   if (n->op == PlanOp::kDelete) {
     MachineOperand operand;
-    operand.is_base = true;
-    operand.base_relation = n->relation;
+    operand.scan = n;
     operand.schema = n->output_schema;
     instr.operands.push_back(std::move(operand));
   }
@@ -90,7 +85,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
     const MachineOperand& operand =
         prog->instructions[static_cast<size_t>(id)].operands[static_cast<size_t>(
             i)];
-    if (!operand.is_base) {
+    if (operand.scan == nullptr) {
       prog->instructions[static_cast<size_t>(operand.producer)].consumer = id;
     }
   }
@@ -101,7 +96,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
 
 StatusOr<MachineProgram> CompileProgram(
     const Catalog& catalog, const std::vector<const PlanNode*>& queries,
-    PipelinePolicy pipeline) {
+    const PlanPolicies& policies) {
   MachineProgram prog;
   Analyzer analyzer(&catalog);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -116,9 +111,10 @@ StatusOr<MachineProgram> CompileProgram(
     }
     DFDB_ASSIGN_OR_RETURN(QueryAnalysis analysis,
                           analyzer.Resolve(plan.get()));
+    ApplyPlanPolicies(policies, plan.get());
     prog.analyses.push_back(std::move(analysis));
     const uint64_t query_id = static_cast<uint64_t>(qi) + 1;
-    const int root = CompileNode(plan.get(), query_id, qi, pipeline, &prog);
+    const int root = CompileNode(plan.get(), query_id, qi, &prog);
     prog.roots.push_back(root);
     prog.plans.push_back(std::move(plan));
   }

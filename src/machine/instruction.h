@@ -12,31 +12,34 @@
 #define DFDB_MACHINE_INSTRUCTION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/statusor.h"
-#include "engine/exec_options.h"
 #include "ra/analyzer.h"
+#include "ra/expr_compile.h"
 #include "ra/plan.h"
 
 namespace dfdb {
 
 /// \brief One operand of a machine instruction.
 struct MachineOperand {
-  bool is_base = false;
-  /// Base relation name (is_base).
-  std::string base_relation;
-  /// Producing instruction index in the program (!is_base).
+  /// A base operand's source: the plan node whose relation it reads (its
+  /// kScan leaf, or a delete's own node for its target). Points into the
+  /// program's plan clones; null = the output of another instruction.
+  const PlanNode* scan = nullptr;
+  /// Producing instruction index in the program (no scan).
   int producer = -1;
   /// Operand tuple schema.
   Schema schema;
-  /// Pipeline fusion: a restrict folded into this operand. The IC applies
-  /// the predicate while compacting staged pages into machine units, so the
-  /// restrict never occupies an IP and its result pages never ride the ring.
-  /// Points into the program's plan clones; null = unfiltered operand.
+  /// Pipeline fusion: a restrict folded into this operand, and its
+  /// predicate compiled once here. The IC applies it while compacting
+  /// staged pages into machine units, so the restrict never occupies an IP
+  /// and its result pages never ride the ring. Null = unfiltered operand.
   const PlanNode* filter = nullptr;
+  std::optional<CompiledPredicate> filter_pred;
 };
 
 /// \brief One relational-algebra instruction as the machine executes it.
@@ -85,15 +88,15 @@ struct MachineProgram {
 /// \brief Compiles \p queries (cloned and resolved against \p catalog).
 ///
 /// A bare-scan query is wrapped in an always-true restrict so that it is an
-/// instruction. Queries are numbered by position.
+/// instruction. Queries are numbered by position. \p policies are applied
+/// to each resolved clone (ApplyPlanPolicies) before it compiles.
 ///
-/// \p pipeline controls per-edge fusion: a kRestrict producer over a base
-/// relation whose predicate compiles is folded into the consumer's operand
-/// (MachineOperand::filter) when the plan marks the edge (kHonorPlan) or
-/// unconditionally (kForceFuse); kForceMaterialize folds nothing.
+/// Per-edge fusion: a kRestrict producer over a base relation whose
+/// predicate compiles is folded into the consumer's operand
+/// (MachineOperand::filter) when the plan marks the edge.
 StatusOr<MachineProgram> CompileProgram(
     const Catalog& catalog, const std::vector<const PlanNode*>& queries,
-    PipelinePolicy pipeline = PipelinePolicy::kHonorPlan);
+    const PlanPolicies& policies = {});
 
 }  // namespace dfdb
 

@@ -19,8 +19,10 @@
 
 namespace dfdb {
 
-/// \brief Simulation knobs beyond the hardware configuration.
-struct MachineOptions {
+/// \brief Simulation knobs beyond the hardware configuration. The inherited
+/// PlanPolicies override the optimizer's marks when CompileProgram compiles
+/// the batch.
+struct MachineOptions : PlanPolicies {
   MachineConfig config;
   Granularity granularity = Granularity::kPage;
   /// Requirement 4 (Section 4.0): broadcast inner-relation pages to every
@@ -49,17 +51,6 @@ struct MachineOptions {
   /// Partition count for parallel project (also its maximum IP
   /// parallelism).
   int project_partitions = 8;
-  /// Per-edge pipeline-vs-materialize policy (see CompileProgram): folded
-  /// restricts filter at the IC during staging compaction instead of
-  /// occupying IPs as separate instructions.
-  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
-  /// Per-scan access-path policy (honor zone-map / grid-file marks vs
-  /// force full staging).
-  IndexPolicy index = IndexPolicy::kHonorPlan;
-  /// Per-scan near-data pushdown policy: honor PlanNode::pushdown marks
-  /// (the compiled restrict runs during cache->IC staging, only survivors
-  /// cross the rings) vs force the raw staging path (ablation baseline).
-  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
   /// Safety valve against runaway simulations.
   uint64_t max_events = 500000000;
   /// Deterministic fault schedule (empty = perfect hardware). With a

@@ -20,7 +20,6 @@
 #include "obs/trace.h"
 #include "operators/node_program.h"
 #include "ra/expr_compile.h"
-#include "storage/tuple.h"
 
 namespace dfdb {
 
@@ -107,13 +106,9 @@ struct OperandRt {
   /// Compressor for repacking partial/mismatched pages into machine units.
   std::unique_ptr<Page> partial;
   uint64_t total_tuples = 0;
-  /// Lazy compilation of a folded restrict (MachineOperand::filter), done
-  /// at the first staged page.
-  bool filter_tried = false;
-  std::optional<CompiledPredicate> filter_pred;
   /// Near-data pushdown (PlanNode::pushdown on the staged scan): the
   /// compiled restrict runs at the disk-cache port during staging, so only
-  /// surviving tuples cross into IC memory. Compiled once in StartStaging.
+  /// surviving tuples cross into IC memory. Set by StartStaging.
   std::optional<CompiledPredicate> pushdown_pred;
 };
 
@@ -345,7 +340,7 @@ class Sim {
   void TryStart(int instr_id);
   void RequestIps(int instr_id);
   void HandleIpRequestAtMc(int instr_id);
-  void GrantArrive(int instr_id, int count);
+  void GrantArrive(int instr_id);
   void ReleaseIdleIp(int instr_id, int ip_id);
   void ReleaseAllIps(int instr_id);
   void PumpPendingRequests();
@@ -427,10 +422,10 @@ class Sim {
 
   void SendJoinAssign(int instr_id, int ip_id, size_t outer_idx,
                       const BitVector* resume_irc = nullptr);
-  void IpJoinAssignArrive(int instr_id, int ip_id, size_t outer_idx,
+  void IpJoinAssignArrive(int instr_id, int ip_id,
                           std::optional<size_t> inner_idx);
   void IpStartJoinStep(int instr_id, int ip_id, size_t inner_idx);
-  void IpJoinStepDone(int instr_id, int ip_id, size_t inner_idx,
+  void IpJoinStepDone(int instr_id, int ip_id,
                       std::vector<PagePtr> full_pages);
   void IpJoinAdvance(int instr_id, int ip_id);
   void IpOuterDone(int instr_id, int ip_id);
@@ -612,7 +607,7 @@ void Sim::StartQuery(size_t qi) {
     eq_.ScheduleAt(arrival, [this, id] {
       InstrRt& ir = instrs_[static_cast<size_t>(id)];
       for (size_t slot = 0; slot < ir.def->operands.size(); ++slot) {
-        if (ir.def->operands[slot].is_base) {
+        if (ir.def->operands[slot].scan != nullptr) {
           StartStaging(id, static_cast<int>(slot));
         }
       }
@@ -628,72 +623,24 @@ void Sim::StartQuery(size_t qi) {
 void Sim::StartStaging(int instr_id, int slot) {
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
   const MachineOperand& mop = ir.def->operands[static_cast<size_t>(slot)];
-  const std::string& rel = mop.base_relation;
-  // The plan scan node this operand stages (carries the optimizer's
-  // access-path mark). A folded restrict points at it through the operand
-  // filter; otherwise the instruction's own child in this slot is the scan.
-  const PlanNode* scan = nullptr;
-  if (opt_.index == IndexPolicy::kHonorPlan) {
-    if (mop.filter != nullptr) {
-      if (mop.filter->num_children() == 1 &&
-          mop.filter->child(0).op == PlanOp::kScan) {
-        scan = &mop.filter->child(0);
-      }
-    } else if (ir.def->node != nullptr &&
-               slot < ir.def->node->num_children() &&
-               ir.def->node->child(slot).op == PlanOp::kScan) {
-      scan = &ir.def->node->child(slot);
-    }
-    if (scan != nullptr && scan->access_path == ScanAccessPath::kFullScan) {
-      scan = nullptr;
-    }
-  }
-  // Near-data pushdown: when the optimizer marked this scan pushable and
-  // the policy honors it, compile the consuming restrict's predicate
-  // against the scan schema. Staging then filters at the cache port —
-  // composing with the access-path marks above: pruning drops whole pages
-  // first, pushdown filters the residual pages' tuples.
-  if (opt_.pushdown == PushdownPolicy::kHonorPlan) {
-    const PlanNode* restrict_node = nullptr;
-    if (mop.filter != nullptr) {
-      if (mop.filter->num_children() == 1 &&
-          mop.filter->child(0).op == PlanOp::kScan &&
-          mop.filter->child(0).pushdown) {
-        restrict_node = mop.filter;
-      }
-    } else if (ir.def->node != nullptr &&
-               ir.def->node->op == PlanOp::kRestrict &&
-               ir.def->node->predicate != nullptr &&
-               slot < ir.def->node->num_children() &&
-               ir.def->node->child(slot).op == PlanOp::kScan &&
-               ir.def->node->child(slot).pushdown) {
-      restrict_node = ir.def->node;
-    }
-    if (restrict_node != nullptr) {
-      auto compiled =
-          CompiledPredicate::Compile(*restrict_node->predicate, mop.schema);
-      if (compiled.ok()) {
-        ir.operands[static_cast<size_t>(slot)].pushdown_pred.emplace(
-            *std::move(compiled));
-      } else {
-        report_.pushdown.fallbacks++;
-      }
-    }
-  }
-  // Every query reads the snapshot TryAdmitWaiting stamped on it.
-  auto view = query_snapshots_[ir.def->query_index].View(rel);
-  if (!view.ok()) {
-    Fail(view.status().WithContext("staging snapshot view " + rel));
+  // Every query reads the snapshot TryAdmitWaiting stamped on it. The
+  // scan's plan consumer is the restrict folded into this operand, else
+  // the instruction itself.
+  auto opened = OpenScan(
+      storage_, query_snapshots_[ir.def->query_index], *mop.scan,
+      mop.filter != nullptr ? mop.filter : ir.def->node, &report_.index,
+      &report_.pushdown);
+  if (!opened.ok()) {
+    Fail(opened.status().WithContext("staging snapshot view " +
+                                     mop.scan->relation));
     CompleteOperand(instr_id, slot);
     return;
   }
-  const uint64_t commit_ts = view->commit_ts;
-  auto ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
-  if (scan != nullptr) {
-    *ids = PruneScanPages(storage_, *scan, *ids, commit_ts,
-                          /*allow_gridfile=*/true, &report_.index);
-  }
-  StageNextRawPage(instr_id, slot, ids, 0);
+  ir.operands[static_cast<size_t>(slot)].pushdown_pred =
+      std::move(opened->pushdown);
+  StageNextRawPage(
+      instr_id, slot,
+      std::make_shared<std::vector<PageId>>(std::move(opened->pages)), 0);
 }
 
 void Sim::StageNextRawPage(int instr_id, int slot,
@@ -763,7 +710,7 @@ void Sim::StageNextRawPage(int instr_id, int slot,
     // (cylinder crossings); intermediate pages stream sequentially. Drives
     // have no filter logic, so the full page always crosses disk -> cache.
     const std::string& rel =
-        ir.def->operands[static_cast<size_t>(slot)].base_relation;
+        ir.def->operands[static_cast<size_t>(slot)].scan->relation;
     SerialResource& drive =
         drives_[Hash64(rel.data(), rel.size()) % drives_.size()];
     const bool position = (idx % 10) == 0;
@@ -794,28 +741,11 @@ void Sim::RepackInto(int instr_id, int slot, const Page& raw) {
   // into machine units: the consumer sees the same filtered operand stream
   // it would get from a restrict instruction, minus that instruction's IP
   // occupancy and ring crossings.
-  if (mop.filter != nullptr) {
-    if (!op.filter_tried) {
-      op.filter_tried = true;
-      auto compiled =
-          CompiledPredicate::Compile(*mop.filter->predicate, schema);
-      if (compiled.ok()) op.filter_pred.emplace(*std::move(compiled));
-    }
-    report_.pipeline_fused_pages++;
-  }
+  const std::optional<CompiledPredicate>& filter = mop.filter_pred;
+  if (filter.has_value()) report_.pipeline_fused_pages++;
   for (int i = 0; i < raw.num_tuples(); ++i) {
-    if (mop.filter != nullptr) {
-      if (op.filter_pred.has_value()) {
-        if (!op.filter_pred->Matches(raw.tuple(i).data(), nullptr)) continue;
-      } else {
-        TupleView view(&schema, raw.tuple(i));
-        auto keep = mop.filter->predicate->EvalBool(view, nullptr);
-        if (!keep.ok()) {
-          Fail(keep.status());
-          return;
-        }
-        if (!*keep) continue;
-      }
+    if (filter.has_value() && !filter->Matches(raw.tuple(i).data(), nullptr)) {
+      continue;
     }
     if (op.partial == nullptr) {
       auto page = Page::Create(0, schema.tuple_width(), unit);
@@ -986,13 +916,10 @@ void Sim::HandleIpRequestAtMc(int instr_id) {
   }
   report_.control_packets++;
   const SimTime arrival = SendInner(kControlBytes);
-  eq_.ScheduleAt(arrival, [this, instr_id, n = grant.size()] {
-    GrantArrive(instr_id, static_cast<int>(n));
-  });
+  eq_.ScheduleAt(arrival, [this, instr_id] { GrantArrive(instr_id); });
 }
 
-void Sim::GrantArrive(int instr_id, int count) {
-  (void)count;
+void Sim::GrantArrive(int instr_id) {
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
   ir.request_outstanding = false;
   if (ir.phase == InstrPhase::kFinished) return;
@@ -1250,8 +1177,6 @@ void Sim::IpUnaryArrive(int instr_id, int ip_id, int slot, size_t unit_idx) {
 }
 
 void Sim::IpUnaryDone(int instr_id, int ip_id, std::vector<PagePtr> pages) {
-  InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  IpRt& ip = ips_[static_cast<size_t>(ip_id)];
   for (PagePtr& page : pages) {
     SendResultPage(instr_id, std::move(page));
   }
@@ -1259,15 +1184,11 @@ void Sim::IpUnaryDone(int instr_id, int ip_id, std::vector<PagePtr> pages) {
   report_.control_packets++;
   const SimTime arrival = SendOuter(kControlBytes);
   eq_.ScheduleAt(arrival, [this, instr_id, ip_id] {
-    InstrRt& ir2 = instrs_[static_cast<size_t>(instr_id)];
-    IpRt& ip2 = ips_[static_cast<size_t>(ip_id)];
-    ip2.busy = false;
-    ir2.outstanding_packets--;
+    ips_[static_cast<size_t>(ip_id)].busy = false;
+    instrs_[static_cast<size_t>(instr_id)].outstanding_packets--;
     DispatchWork(instr_id);
     MaybeFlush(instr_id);
   });
-  (void)ir;
-  (void)ip;
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,9 +1260,8 @@ void Sim::SendJoinAssign(int instr_id, int ip_id, size_t outer_idx,
   });
 }
 
-void Sim::IpJoinAssignArrive(int instr_id, int ip_id, size_t outer_idx,
+void Sim::IpJoinAssignArrive(int instr_id, int ip_id,
                              std::optional<size_t> inner_idx) {
-  (void)outer_idx;
   IpRt& ip = ips_[static_cast<size_t>(ip_id)];
   ip.busy = false;
   if (ip.outer.at_ip) {
@@ -1376,7 +1296,7 @@ void Sim::IpStartJoinStep(int instr_id, int ip_id, size_t inner_idx) {
   auto run = RunKernel(&ir, &ip, /*slot=*/0, outer, &inner);
   if (!run.ok()) {
     Fail(run.status());
-    IpJoinStepDone(instr_id, ip_id, inner_idx, {});
+    IpJoinStepDone(instr_id, ip_id, {});
     return;
   }
   auto [full_pages, out_bytes] = *std::move(run);
@@ -1386,15 +1306,14 @@ void Sim::IpStartJoinStep(int instr_id, int ip_id, size_t inner_idx) {
   report_.ip_busy_total += service;
   Tr(obs::TraceEventKind::kTaskExecuted, instr_id, ip_id, out_bytes,
      "join-step");
-  eq_.ScheduleAt(done, [this, instr_id, ip_id, inner_idx,
+  eq_.ScheduleAt(done, [this, instr_id, ip_id,
                         pages = std::move(full_pages)]() mutable {
-    IpJoinStepDone(instr_id, ip_id, inner_idx, std::move(pages));
+    IpJoinStepDone(instr_id, ip_id, std::move(pages));
   });
 }
 
-void Sim::IpJoinStepDone(int instr_id, int ip_id, size_t inner_idx,
+void Sim::IpJoinStepDone(int instr_id, int ip_id,
                          std::vector<PagePtr> pages) {
-  (void)inner_idx;
   IpRt& ip = ips_[static_cast<size_t>(ip_id)];
   ip.busy = false;
   for (PagePtr& page : pages) {
@@ -1586,7 +1505,6 @@ void Sim::NotifyInnerComplete(int instr_id) {
 // ---------------------------------------------------------------------------
 
 void Sim::SendResultPage(int instr_id, PagePtr page) {
-  InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
   report_.result_packets++;
   const int64_t wire = ResultPacketWire(page->payload_bytes());
   Tr(obs::TraceEventKind::kPageProduced, instr_id, -1, page->payload_bytes(),
@@ -1595,7 +1513,6 @@ void Sim::SendResultPage(int instr_id, PagePtr page) {
   eq_.ScheduleAt(arrival, [this, instr_id, page = std::move(page)] {
     DeliverResult(instr_id, page);
   });
-  (void)ir;
 }
 
 void Sim::DeliverResult(int producer_instr, PagePtr page) {
@@ -1878,7 +1795,7 @@ void Sim::AssignmentArrive(int instr_id, int ip_id, uint64_t assign_id) {
       IpUnaryArrive(instr_id, ip_id, a.slot, a.unit_idx);
       break;
     case IpRt::PendingAssign::kJoin:
-      IpJoinAssignArrive(instr_id, ip_id, a.unit_idx, a.first_inner);
+      IpJoinAssignArrive(instr_id, ip_id, a.first_inner);
       break;
     case IpRt::PendingAssign::kFlush:
       IpFlushArrive(instr_id, ip_id);
@@ -2149,8 +2066,7 @@ MachineSimulator::MachineSimulator(StorageEngine* storage,
 StatusOr<MachineReport> MachineSimulator::Run(
     const std::vector<const PlanNode*>& queries) {
   DFDB_ASSIGN_OR_RETURN(MachineProgram program,
-                        CompileProgram(storage_->catalog(), queries,
-                                       options_.pipeline));
+                        CompileProgram(storage_->catalog(), queries, options_));
   Sim sim(storage_, options_, std::move(program), queries.size());
   DFDB_RETURN_IF_ERROR(sim.Run());
   return sim.TakeReport();

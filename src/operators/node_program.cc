@@ -51,8 +51,7 @@ StatusOr<std::unique_ptr<NodeProgram>> NodeProgram::Build(
       break;
   }
   if (refused) stats->compile_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  if (node.op == PlanOp::kScan || node.op == PlanOp::kAppend ||
-      node.op == PlanOp::kDelete) {
+  if (node.op == PlanOp::kAppend || node.op == PlanOp::kDelete) {
     DFDB_ASSIGN_OR_RETURN(p->file_, storage->GetHeapFile(node.relation));
   }
   int shards = 0;

@@ -56,7 +56,7 @@ class NodeProgram {
   /// program. A predicate the compiler refuses is no error: the
   /// program interprets it per tuple and counts one
   /// kernel.compile_fallbacks into \p stats. \p storage resolves the heap
-  /// file of a scan, append or delete. \p dedup_shards is the shard count
+  /// file of an append or delete. \p dedup_shards is the shard count
   /// of a deduplicating project.
   static StatusOr<std::unique_ptr<NodeProgram>> Build(
       const PlanNode& node, StorageEngine* storage, KernelStats* stats,
@@ -94,7 +94,7 @@ class NodeProgram {
 
   /// True when a restrict or delete predicate compiled.
   bool predicate_compiled() const { return pred_.has_value(); }
-  /// The heap file a scan reads or an append or delete writes, else null.
+  /// The heap file an append or delete writes, else null.
   HeapFile* file() const { return file_; }
 
  private:
@@ -120,7 +120,7 @@ class NodeProgram {
   std::optional<CompiledPredicate> pred_;      ///< kRestrict / kDelete.
   std::optional<CompiledJoinPredicate> join_;  ///< kJoin.
   std::vector<int> columns_;                   ///< kProject.
-  HeapFile* file_ = nullptr;  ///< kScan / kAppend / kDelete.
+  HeapFile* file_ = nullptr;  ///< kAppend / kDelete.
   /// Deduplicating project (one per shard) and set union (one).
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex mu_;  ///< Guards diff_, agg_ and finished_.

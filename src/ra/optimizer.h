@@ -132,8 +132,10 @@ class Optimizer {
   const Catalog* catalog_;
 };
 
-/// \brief Safety-only half of the per-edge decision, shared with the
-/// backends' PipelinePolicy::kForceFuse path (stats are not consulted).
+/// \brief Safety-only half of the per-edge decision (stats are not
+/// consulted). The threads engine re-checks every marked edge with it and
+/// materializes the ones it rejects (a hand-marked plan); differential
+/// tests mark every edge it accepts to fuse wherever fusion is safe.
 ///
 /// True when streaming \p producer's output straight into \p consumer
 /// provably preserves results: the producer is a restrict whose predicate

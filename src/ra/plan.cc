@@ -117,6 +117,17 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   return copy;
 }
 
+void ApplyPlanPolicies(const PlanPolicies& policies, PlanNode* root) {
+  if (policies.pipeline == PipelinePolicy::kForceMaterialize) {
+    root->pipeline_fused = false;
+  }
+  if (policies.index == IndexPolicy::kForceFullScan) {
+    root->access_path = ScanAccessPath::kFullScan;
+  }
+  if (policies.pushdown == PushdownPolicy::kForceOff) root->pushdown = false;
+  for (auto& child : root->children) ApplyPlanPolicies(policies, child.get());
+}
+
 PlanNodePtr MakeScan(std::string relation) {
   auto n = std::make_unique<PlanNode>();
   n->op = PlanOp::kScan;

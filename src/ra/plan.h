@@ -23,8 +23,7 @@ namespace dfdb {
 /// How a kScan leaf reads its relation. Chosen by
 /// Optimizer::DecideAccessPaths from the consuming restrict's compiled
 /// bounds and the catalog's index definitions; kFullScan is always safe and
-/// ExecOptions::index / MachineOptions::index can force it at execution
-/// time.
+/// IndexPolicy::kForceFullScan forces it at execution time.
 enum class ScanAccessPath {
   kFullScan,  ///< Read every page of the snapshot view.
   kZoneMap,   ///< Skip pages whose zone map cannot contain a match.
@@ -97,8 +96,8 @@ struct PlanNode {
   /// round trip (and collapses unary chains into one fused program), the
   /// simulator folds the operator into the consumer's operand staging.
   /// Set by Optimizer::DecidePipelining; false (materialize) is always
-  /// safe, and ExecOptions::pipeline / MachineOptions::pipeline can
-  /// override the marks at execution time.
+  /// safe, and PipelinePolicy::kForceMaterialize clears the marks at
+  /// execution time.
   bool pipeline_fused = false;
 
   /// kScan only: optimizer access-path decision plus the pre-resolved
@@ -118,8 +117,7 @@ struct PlanNode {
   /// levels and rings. Composes with access_path: pruning drops whole
   /// pages first, pushdown filters the residual pages. Set by
   /// Optimizer::DecidePushdown; false is always safe, and
-  /// ExecOptions::pushdown / MachineOptions::pushdown can force it off at
-  /// execution time.
+  /// PushdownPolicy::kForceOff clears it at execution time.
   bool pushdown = false;
 
   /// Filled by the analyzer.
@@ -144,6 +142,51 @@ struct PlanNode {
 };
 
 using PlanNodePtr = std::unique_ptr<PlanNode>;
+
+/// \brief How a backend treats the optimizer's per-edge pipeline marks
+/// (PlanNode::pipeline_fused; see DESIGN.md "Pipeline fusion").
+enum class PipelinePolicy {
+  /// Fuse exactly the edges the optimizer marked (default).
+  kHonorPlan,
+  /// Materialize every edge regardless of marks — the pre-fusion
+  /// behaviour, and the differential-testing baseline.
+  kForceMaterialize,
+};
+
+/// \brief How a backend treats the optimizer's per-scan access-path marks
+/// (PlanNode::access_path; see DESIGN.md "Indexing & page pruning").
+enum class IndexPolicy {
+  /// Prune marked scans through zone maps / grid files (default).
+  kHonorPlan,
+  /// Read every page regardless of marks — the pre-index behaviour, and
+  /// the differential-testing baseline.
+  kForceFullScan,
+};
+
+/// \brief How a backend treats the optimizer's per-scan pushdown marks
+/// (PlanNode::pushdown; see DESIGN.md "Near-data pushdown").
+enum class PushdownPolicy {
+  /// Execute marked restricts inside the storage hierarchy (default).
+  kHonorPlan,
+  /// Ship raw pages and filter at the processors regardless of marks —
+  /// the pre-pushdown behaviour, and the differential-testing baseline.
+  kForceOff,
+};
+
+/// \brief Execution-time overrides of the optimizer's marks, shared by both
+/// backends' option structs (ExecOptions and MachineOptions inherit it).
+struct PlanPolicies {
+  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
+  IndexPolicy index = IndexPolicy::kHonorPlan;
+  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
+};
+
+/// Clears every mark in the subtree \p root that \p policies override: the
+/// pipeline_fused edges under kForceMaterialize, the access paths (back to
+/// kFullScan) under kForceFullScan, and the pushdown marks under kForceOff.
+/// Each backend calls it once per query, on its own resolved clone, and
+/// then reads only the marks; a kHonorPlan value leaves its marks alone.
+void ApplyPlanPolicies(const PlanPolicies& policies, PlanNode* root);
 
 /// \name Tree constructors
 /// @{

@@ -408,7 +408,7 @@ TEST(IndexMvccTest, OldSnapshotUnchangedAfterDelete) {
   ASSERT_OK_AND_ASSIGN(IndexMeta meta, storage.catalog().GetIndex("ev_u"));
   std::vector<PageId> kept =
       PruneScanPages(&storage, opt->child(0), old_view.pages,
-                     old_view.commit_ts, /*allow_gridfile=*/true, &stats);
+                     old_view.commit_ts, &stats);
   EXPECT_LT(kept.size(), old_view.pages.size());
   EXPECT_EQ(stats.gridfile_probes, 1u);
   std::vector<std::string> brute, via_index;

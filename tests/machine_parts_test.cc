@@ -131,17 +131,17 @@ TEST_F(CompileTest, ScansBecomeBaseOperands) {
   const MachineInstruction& join_i = prog.instructions[1];
   EXPECT_EQ(restrict_i.op, PlanOp::kRestrict);
   ASSERT_EQ(restrict_i.operands.size(), 1u);
-  EXPECT_TRUE(restrict_i.operands[0].is_base);
-  EXPECT_EQ(restrict_i.operands[0].base_relation, "a");
+  ASSERT_NE(restrict_i.operands[0].scan, nullptr);
+  EXPECT_EQ(restrict_i.operands[0].scan->relation, "a");
   EXPECT_EQ(restrict_i.consumer, join_i.id);
   EXPECT_EQ(restrict_i.consumer_slot, 0);
 
   EXPECT_EQ(join_i.op, PlanOp::kJoin);
   ASSERT_EQ(join_i.operands.size(), 2u);
-  EXPECT_FALSE(join_i.operands[0].is_base);
+  EXPECT_EQ(join_i.operands[0].scan, nullptr);
   EXPECT_EQ(join_i.operands[0].producer, restrict_i.id);
-  EXPECT_TRUE(join_i.operands[1].is_base);
-  EXPECT_EQ(join_i.operands[1].base_relation, "b");
+  ASSERT_NE(join_i.operands[1].scan, nullptr);
+  EXPECT_EQ(join_i.operands[1].scan->relation, "b");
   EXPECT_EQ(join_i.consumer, -1);  // Root: results to the host.
   EXPECT_EQ(prog.roots, (std::vector<int>{join_i.id}));
 }
@@ -152,7 +152,7 @@ TEST_F(CompileTest, BareScanWrappedInRestrict) {
                        CompileProgram(catalog_, {plan.get()}));
   ASSERT_EQ(prog.instructions.size(), 1u);
   EXPECT_EQ(prog.instructions[0].op, PlanOp::kRestrict);
-  EXPECT_TRUE(prog.instructions[0].operands[0].is_base);
+  EXPECT_NE(prog.instructions[0].operands[0].scan, nullptr);
 }
 
 TEST_F(CompileTest, BarrierFlagging) {
@@ -180,8 +180,8 @@ TEST_F(CompileTest, DeleteGetsBaseOperand) {
                        CompileProgram(catalog_, {plan.get()}));
   ASSERT_EQ(prog.instructions.size(), 1u);
   ASSERT_EQ(prog.instructions[0].operands.size(), 1u);
-  EXPECT_TRUE(prog.instructions[0].operands[0].is_base);
-  EXPECT_EQ(prog.instructions[0].operands[0].base_relation, "a");
+  ASSERT_NE(prog.instructions[0].operands[0].scan, nullptr);
+  EXPECT_EQ(prog.instructions[0].operands[0].scan->relation, "a");
 }
 
 TEST_F(CompileTest, MultiQueryNumbering) {

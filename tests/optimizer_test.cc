@@ -327,5 +327,62 @@ TEST_F(OptimizerTest, RestrictChainIntoJoinFusesEveryEdge) {
   (void)optimized;
 }
 
+// ---------------------------------------------------------------------------
+// Execution-time policies (ApplyPlanPolicies)
+// ---------------------------------------------------------------------------
+
+/// How many nodes of a tree carry each optimizer mark.
+struct MarkCounts {
+  int fused = 0;
+  int access_paths = 0;
+  int pushdown = 0;
+  bool operator==(const MarkCounts&) const = default;
+};
+
+MarkCounts CountMarks(const PlanNode& n) {
+  MarkCounts c;
+  c.fused = n.pipeline_fused ? 1 : 0;
+  c.access_paths = n.access_path != ScanAccessPath::kFullScan ? 1 : 0;
+  c.pushdown = n.pushdown ? 1 : 0;
+  for (int i = 0; i < n.num_children(); ++i) {
+    const MarkCounts sub = CountMarks(n.child(i));
+    c.fused += sub.fused;
+    c.access_paths += sub.access_paths;
+    c.pushdown += sub.pushdown;
+  }
+  return c;
+}
+
+TEST_F(OptimizerTest, EachPolicyClearsOnlyItsOwnMarks) {
+  // restrict(big) -> join carries all three marks: a fused edge, and a
+  // zone-map access path plus pushdown on the scan below the restrict.
+  auto plan = MakeJoin(
+      MakeRestrict(MakeScan("big"), Lt(Col("k1000"), Lit(100))),
+      MakeScan("small"), Eq(Col("k100"), RightCol("k100")));
+  OptimizerReport report;
+  PlanNodePtr optimized = OptimizeChecked(plan, &report);
+  const MarkCounts marked = CountMarks(*optimized);
+  ASSERT_GE(marked.fused, 1) << report.ToString();
+  ASSERT_GE(marked.access_paths, 1) << report.ToString();
+  ASSERT_GE(marked.pushdown, 1) << report.ToString();
+
+  auto apply = [&](const PlanPolicies& policies) {
+    PlanNodePtr clone = optimized->Clone();
+    ApplyPlanPolicies(policies, clone.get());
+    return CountMarks(*clone);
+  };
+  EXPECT_EQ(apply(PlanPolicies{}), marked);
+  PlanPolicies materialize;
+  materialize.pipeline = PipelinePolicy::kForceMaterialize;
+  EXPECT_EQ(apply(materialize),
+            (MarkCounts{0, marked.access_paths, marked.pushdown}));
+  PlanPolicies full_scan;
+  full_scan.index = IndexPolicy::kForceFullScan;
+  EXPECT_EQ(apply(full_scan), (MarkCounts{marked.fused, 0, marked.pushdown}));
+  PlanPolicies raw;
+  raw.pushdown = PushdownPolicy::kForceOff;
+  EXPECT_EQ(apply(raw), (MarkCounts{marked.fused, marked.access_paths, 0}));
+}
+
 }  // namespace
 }  // namespace dfdb

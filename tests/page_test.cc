@@ -1,12 +1,11 @@
 /// \file page_test.cc
-/// \brief Tests for pages, tuple encoding, page store and page tables.
+/// \brief Tests for pages, tuple encoding and the page store.
 
 #include "storage/page.h"
 
 #include <gtest/gtest.h>
 
 #include "storage/page_store.h"
-#include "storage/page_table.h"
 #include "storage/tuple.h"
 #include "tests/test_util.h"
 
@@ -191,23 +190,6 @@ TEST(PageStoreTest, StatsCountBytes) {
   EXPECT_EQ(stats.bytes_read, 10u);
   store.ResetStats();
   EXPECT_EQ(store.stats().pages_written, 0u);
-}
-
-TEST(PageTableTest, StreamSemantics) {
-  PageTable table;
-  EXPECT_FALSE(table.complete());
-  ASSERT_OK(table.Append(11));
-  ASSERT_OK(table.Append(22));
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(*table.At(1), 22u);
-  EXPECT_FALSE(table.At(2).has_value());
-  EXPECT_FALSE(table.Exhausted(2));  // Not complete yet.
-  table.MarkComplete();
-  EXPECT_TRUE(table.complete());
-  EXPECT_TRUE(table.Exhausted(2));
-  EXPECT_FALSE(table.Exhausted(1));
-  EXPECT_TRUE(table.Append(33).IsFailedPrecondition());
-  EXPECT_EQ(table.Ids(), (std::vector<PageId>{11, 22}));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 ///  1. kernel — a FusedPipeline program over raw tuple bytes must be
 ///     byte-identical to an independent per-step oracle (interpreted
 ///     predicates + manual byte-range projection);
-///  2. engine — seeded random plans executed with PipelinePolicy::kForceFuse
+///  2. engine — seeded random plans with every PipelineEdgeSafe edge marked
 ///     must produce byte-identical pages, boundaries and order as
 ///     kForceMaterialize (the pre-fusion baseline) on a single worker;
 ///  3. simulator — folded restricts must leave every query's result bag
@@ -24,6 +24,7 @@
 #include "engine/run.h"
 #include "machine/simulator.h"
 #include "operators/kernels.h"
+#include "ra/analyzer.h"
 #include "ra/expr_compile.h"
 #include "ra/optimizer.h"
 #include "storage/tuple.h"
@@ -200,8 +201,27 @@ TEST(FusedPipelineKernel, MatchesPerStepOracleByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: kForceFuse vs kForceMaterialize, byte-identical
+// Engine level: every safe edge fused vs kForceMaterialize, byte-identical
 // ---------------------------------------------------------------------------
+
+void MarkSafeEdges(PlanNode* node) {
+  for (auto& child : node->children) {
+    MarkSafeEdges(child.get());
+    child->pipeline_fused =
+        child->op != PlanOp::kScan && PipelineEdgeSafe(*child, *node);
+  }
+}
+
+/// A resolved clone of \p plan with every edge PipelineEdgeSafe accepts
+/// marked fused: fusion wherever it is provably safe, no stats veto.
+PlanNodePtr MarkEverySafeEdge(const Catalog& catalog, const PlanNode& plan) {
+  PlanNodePtr marked = plan.Clone();
+  Analyzer analyzer(&catalog);
+  auto analysis = analyzer.Resolve(marked.get());
+  EXPECT_TRUE(analysis.ok()) << analysis.status();
+  MarkSafeEdges(marked.get());
+  return marked;
+}
 
 /// Serializes a result preserving page boundaries and order: fusion must
 /// not only keep the tuple bag, it must keep the exact page packing.
@@ -310,7 +330,9 @@ TEST_F(PipelineFusionEngineTest, DifferentialFuzzFusedEqualsMaterialized) {
     ExecStats mat_stats, fuse_stats;
     QueryResult materialized =
         Run(*plan, PipelinePolicy::kForceMaterialize, &mat_stats);
-    QueryResult fused = Run(*plan, PipelinePolicy::kForceFuse, &fuse_stats);
+    QueryResult fused =
+        Run(*MarkEverySafeEdge(storage_->catalog(), *plan),
+            PipelinePolicy::kHonorPlan, &fuse_stats);
 
     SCOPED_TRACE("iter " + std::to_string(iter));
     EXPECT_EQ(materialized.num_tuples(), fused.num_tuples());
@@ -383,15 +405,19 @@ TEST(PipelineFusionSimulator, FusedEqualsMaterializedAndElidesTraffic) {
       MakeRestrict(MakeScan("big"), Lt(Col("k100"), Lit(40))),
       {"id", "k100"});
   auto q2 = MakeRestrict(MakeScan("small"), Lt(Col("k1000"), Lit(700)));
-  std::vector<const PlanNode*> queries{q0.get(), q1.get(), q2.get()};
+  std::vector<PlanNodePtr> marked;
+  for (const PlanNode* q : {q0.get(), q1.get(), q2.get()}) {
+    marked.push_back(MarkEverySafeEdge(storage.catalog(), *q));
+  }
+  std::vector<const PlanNode*> queries{marked[0].get(), marked[1].get(),
+                                       marked[2].get()};
 
   MachineOptions materialize;
   materialize.pipeline = PipelinePolicy::kForceMaterialize;
   MachineSimulator mat_sim(&storage, materialize);
   ASSERT_OK_AND_ASSIGN(MachineReport mat, mat_sim.Run(queries));
 
-  MachineOptions fuse;
-  fuse.pipeline = PipelinePolicy::kForceFuse;
+  MachineOptions fuse;  // kHonorPlan.
   MachineSimulator fuse_sim(&storage, fuse);
   ASSERT_OK_AND_ASSIGN(MachineReport fused, fuse_sim.Run(queries));
 
@@ -402,7 +428,7 @@ TEST(PipelineFusionSimulator, FusedEqualsMaterializedAndElidesTraffic) {
   }
   EXPECT_EQ(mat.pipeline_fused_edges, 0u);
   // q0 folds both restricts; q1 folds one. q2's restrict is the root, so it
-  // stays an instruction even under kForceFuse.
+  // stays an instruction although every safe edge is marked.
   EXPECT_EQ(fused.pipeline_fused_edges, 3u);
   EXPECT_GT(fused.pipeline_fused_pages, 0u);
   EXPECT_GT(fused.pipeline_pages_elided, 0u);

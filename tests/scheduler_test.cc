@@ -386,5 +386,32 @@ TEST_F(SchedulerTest, QueueWaitIsMeasuredForQueuedQueries) {
   scheduler.Shutdown();
 }
 
+TEST_F(SchedulerTest, ThrottledScanStepsAreNotCountedAsTasks) {
+  // A scan step that finds every memory cell occupied re-dispatches itself
+  // and yields without reading a page. Only the steps that ran count as
+  // executed tasks, so the count does not depend on the number of cells.
+  StorageEngine storage(/*default_page_bytes=*/1000);
+  ASSERT_OK_AND_ASSIGN(auto l, GenerateRelation(&storage, "left", 400, 3));
+  ASSERT_OK_AND_ASSIGN(auto r, GenerateRelation(&storage, "right", 200, 4));
+  (void)l;
+  (void)r;
+  auto plan = MakeUnion(MakeScan("left"), MakeScan("right"),
+                        /*bag_semantics=*/true);
+  uint64_t tasks[2] = {0, 0};
+  const int cells[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    ExecOptions opts = Options(1);
+    opts.memory_cells_per_processor = cells[i];
+    Scheduler scheduler(&storage, opts);
+    ASSERT_OK_AND_ASSIGN(QueryHandle handle, scheduler.Submit(*plan));
+    ASSERT_OK_AND_ASSIGN(QueryResult result, handle.Wait());
+    scheduler.Shutdown();
+    EXPECT_EQ(result.num_tuples(), 600u);
+    tasks[i] = result.stats().tasks_executed;
+  }
+  EXPECT_GT(tasks[1], 0u);
+  EXPECT_EQ(tasks[0], tasks[1]);
+}
+
 }  // namespace
 }  // namespace dfdb

@@ -308,5 +308,41 @@ TEST_F(SnapshotSchedulerTest, BarrierModeStillQueuesReaders) {
   ExpectSameResult(post_writer, reader_result);
 }
 
+TEST_F(SnapshotSchedulerTest, BarrierModeFailedWriterRollsBack) {
+  // Barrier mode differs from snapshot mode only in admission: a writer
+  // that fails mid-append is rolled back, so none of the tuples it appended
+  // before the error stay visible.
+  StorageEngine storage(/*default_page_bytes=*/1000);
+  ASSERT_OK_AND_ASSIGN(auto src,
+                       GenerateRelation(&storage, "src", 400, /*seed=*/3));
+  ASSERT_OK_AND_ASSIGN(auto dst,
+                       GenerateRelation(&storage, "dst", 50, /*seed=*/4));
+  (void)src;
+  (void)dst;
+  ASSERT_OK_AND_ASSIGN(QueryResult before,
+                       ReferenceExecutor(&storage).Execute(*MakeScan("dst")));
+  ASSERT_EQ(before.num_tuples(), 50u);
+
+  SchedulerOptions sopts;
+  sopts.exec = Options(1);
+  sopts.concurrency = ConcurrencyMode::kBarrier;
+  Scheduler scheduler(&storage, std::move(sopts));
+  // 1000 / (id - 200) divides by zero at id 200, after earlier pages have
+  // already been appended.
+  auto append = MakeAppend(
+      MakeRestrict(MakeScan("src"),
+                   Gt(Div(Lit(1000), Sub(Col("id"), Lit(200))),
+                      Lit(-100000))),
+      "dst");
+  ASSERT_OK_AND_ASSIGN(QueryHandle writer, scheduler.Submit(*append));
+  EXPECT_FALSE(writer.Wait().ok());
+  ASSERT_OK_AND_ASSIGN(QueryHandle reader,
+                       scheduler.Submit(*MakeScan("dst")));
+  ASSERT_OK_AND_ASSIGN(QueryResult after, reader.Wait());
+  scheduler.Shutdown();
+  ASSERT_EQ(after.num_tuples(), before.num_tuples());
+  ExpectSameResult(before, after);
+}
+
 }  // namespace
 }  // namespace dfdb

@@ -153,12 +153,4 @@ std::vector<IndexMeta> Catalog::GetIndexesFor(std::string_view relation) const {
   return out;
 }
 
-std::vector<IndexMeta> Catalog::ListIndexes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<IndexMeta> out;
-  out.reserve(indexes_.size());
-  for (const auto& [name, meta] : indexes_) out.push_back(meta);
-  return out;
-}
-
 }  // namespace dfdb

@@ -96,9 +96,6 @@ class Catalog {
   /// All index definitions over \p relation, ordered by index name.
   std::vector<IndexMeta> GetIndexesFor(std::string_view relation) const;
 
-  /// All index definitions, ordered by name.
-  std::vector<IndexMeta> ListIndexes() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, RelationMeta, std::less<>> by_name_;

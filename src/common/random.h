@@ -10,7 +10,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <string>
 
 namespace dfdb {
 
@@ -68,15 +67,6 @@ class Random {
 
   /// True with probability \p p (clamped to [0,1]).
   bool Bernoulli(double p) { return NextDouble() < p; }
-
-  /// Random lowercase ASCII string of length \p len.
-  std::string NextString(size_t len) {
-    std::string s(len, 'a');
-    for (size_t i = 0; i < len; ++i) {
-      s[i] = static_cast<char>('a' + Uniform(26));
-    }
-    return s;
-  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

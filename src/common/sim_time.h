@@ -26,14 +26,9 @@ class SimTime {
   static constexpr SimTime Micros(int64_t n) { return SimTime(n * 1000); }
   static constexpr SimTime Millis(int64_t n) { return SimTime(n * 1000000); }
   static constexpr SimTime Seconds(int64_t n) { return SimTime(n * 1000000000LL); }
-  /// Rounds to the nearest nanosecond.
-  static SimTime FromSecondsF(double s) {
-    return SimTime(static_cast<int64_t>(s * 1e9 + 0.5));
-  }
 
   constexpr int64_t nanos() const { return ns_; }
   constexpr double ToSecondsF() const { return static_cast<double>(ns_) / 1e9; }
-  constexpr double ToMillisF() const { return static_cast<double>(ns_) / 1e6; }
 
   constexpr SimTime operator+(SimTime o) const { return SimTime(ns_ + o.ns_); }
   constexpr SimTime operator-(SimTime o) const { return SimTime(ns_ - o.ns_); }

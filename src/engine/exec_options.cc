@@ -1,5 +1,7 @@
 #include "engine/exec_options.h"
 
+#include <algorithm>
+
 namespace dfdb {
 
 std::string_view GranularityToString(Granularity g) {
@@ -12,6 +14,11 @@ std::string_view GranularityToString(Granularity g) {
       return "tuple";
   }
   return "?";
+}
+
+int UnitBytes(Granularity g, int page_bytes, int tuple_width) {
+  const int width = std::max(1, tuple_width);
+  return g == Granularity::kTuple ? width : std::max(page_bytes, width);
 }
 
 }  // namespace dfdb

@@ -25,6 +25,11 @@ enum class Granularity {
 
 std::string_view GranularityToString(Granularity g);
 
+/// Payload bytes of one scheduling unit of tuples \p tuple_width wide
+/// (raised to 1): one tuple under kTuple, else a page of \p page_bytes,
+/// raised to one tuple when smaller.
+int UnitBytes(Granularity g, int page_bytes, int tuple_width);
+
 /// \brief Deterministic fault schedule for the threaded engine — the
 /// analogue of the machine simulator's FaultPlan. Workers abandon work at
 /// operator-packet boundaries, so a restarted task re-runs from scratch and

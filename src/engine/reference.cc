@@ -10,6 +10,7 @@
 #include "operators/set_ops.h"
 #include "operators/sort_merge_join.h"
 #include "ra/analyzer.h"
+#include "storage/page_sink.h"
 
 namespace dfdb {
 
@@ -49,13 +50,10 @@ class Evaluator {
   StatusOr<Materialized> Eval(const PlanNode& n) {
     Materialized out;
     out.schema = n.output_schema;
-    const int page_bytes = storage_->default_page_bytes();
-    const int width = std::max(1, n.output_schema.tuple_width());
-    PagedSink sink(RelationId{0}, width, std::max(page_bytes, width),
-                   [&out](PagePtr page) {
-                     out.pages.push_back(std::move(page));
-                     return Status::OK();
-                   });
+    PagePacker sink(RelationId{0}, std::max(1, n.output_schema.tuple_width()),
+                    storage_->default_page_bytes(), [&out](PagePtr page) {
+                      out.pages.push_back(std::move(page));
+                    });
 
     switch (n.op) {
       case PlanOp::kScan: {
@@ -181,7 +179,7 @@ class Evaluator {
         return out;
       }
     }
-    DFDB_RETURN_IF_ERROR(sink.Finish());
+    DFDB_RETURN_IF_ERROR(sink.Close());
     return out;
   }
 

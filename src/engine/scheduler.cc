@@ -20,7 +20,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/concurrency.h"
-#include "engine/edge.h"
 #include "index/access_path.h"
 #include "obs/trace.h"
 #include "operators/kernels.h"
@@ -28,6 +27,7 @@
 #include "ra/analyzer.h"
 #include "ra/optimizer.h"
 #include "storage/buffer_manager.h"
+#include "storage/page_sink.h"
 
 namespace dfdb {
 namespace internal {
@@ -64,7 +64,9 @@ struct NodeState {
   /// The node's consumer in the plan: parent->node, unless a fused chain
   /// was absorbed in between (null for the root). A scan opens against it.
   const PlanNode* plan_consumer = nullptr;
-  std::unique_ptr<Edge> out;
+  /// Packs this node's output into unit pages for the consumer (or the
+  /// query result, at the root).
+  std::optional<PagePacker> out;
 
   // Static (post-analysis) configuration.
   int num_inputs = 0;
@@ -105,13 +107,22 @@ struct NodeState {
   bool left_released = false;
   std::vector<PendingPage> left_buffer;
 
-  // --- producer-side events (called by the child's edge wiring) ---
+  // --- producer-side events (called by the child's packer wiring) ---
   void OnPage(int slot, PendingPage p);
   void OnClose(int slot);
 
   // --- task bodies ---
   void RunUnaryTask(int slot, PendingPage p);
   void RunJoinOuter(OuterWork w);
+  /// The page \p p names: the live pointer on a fused edge (no fetch, no
+  /// packet), else a fetch through the buffer hierarchy that counts one
+  /// packet when \p count_packet. Null once the fetch failed, which fails
+  /// the query with \p context.
+  PagePtr FetchOperand(const PendingPage& p, bool count_packet,
+                       const char* context);
+  /// Counts one instruction packet carrying \p payload_bytes of operand
+  /// across the arbitration network.
+  void CountPacket(uint64_t payload_bytes);
 
   // --- scheduling helpers ---
   void DispatchStream(int slot, PendingPage p);
@@ -309,7 +320,7 @@ class SchedulerImpl {
                   detail, NowNs());
   }
 
-  /// Called by the root edge's close wiring.
+  /// Called when the root node closes its output.
   void OnQueryDone(QueryRuntime* q);
 
   /// Scan driver step; re-dispatches itself page by page.
@@ -429,19 +440,6 @@ class SchedulerImpl {
 
 namespace {
 
-/// PageSink adapter feeding an Edge.
-class EdgeSink final : public PageSink {
- public:
-  explicit EdgeSink(Edge* edge) : edge_(edge) {}
-  Status Emit(Slice tuple) override { return edge_->EmitTuple(tuple); }
-  Status EmitParts(const Slice* parts, size_t n) override {
-    return edge_->EmitTupleParts(parts, n);
-  }
-
- private:
-  Edge* edge_;
-};
-
 /// PushdownFilter adapter over a compiled predicate (single-relation form:
 /// the right-side tuple is always null for a restrict-over-scan).
 class CompiledFilter final : public PushdownFilter {
@@ -453,16 +451,6 @@ class CompiledFilter final : public PushdownFilter {
 
  private:
   const CompiledPredicate* pred_;
-};
-
-/// PushdownSink adapter feeding an Edge: survivors repack into unit pages.
-class EdgePushdownSink final : public PushdownSink {
- public:
-  explicit EdgePushdownSink(Edge* edge) : edge_(edge) {}
-  Status Emit(Slice tuple) override { return edge_->EmitTuple(tuple); }
-
- private:
-  Edge* edge_;
 };
 
 /// Scoped in-flight reference: prevents a query's runtime from being reaped
@@ -675,51 +663,32 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
   impl->RecordTrace(obs::TraceEventKind::kTaskClaimed, query, node->id, slot,
                     0, nullptr);
   if (!query->failed.load(std::memory_order_relaxed)) {
-    // Fetch through the hierarchy: this is the operand delivery that the
-    // arbitration path carries in the paper's model. Pages on fused edges
-    // arrive live — no fetch, and no packet/arbitration traffic (that is
-    // the saving the engine.pipeline.* counters record instead).
-    PagePtr operand;
-    if (p.direct) {
-      operand = p.page;
-    } else {
-      auto fetched = impl->buffer()->Fetch(p.id);
-      if (!fetched.ok()) {
-        query->Fail(fetched.status().WithContext("operand fetch"));
-      } else {
-        operand = *fetched;
-      }
-    }
+    // The operand delivery that the arbitration path carries in the
+    // paper's model. Pages on fused edges arrive live, with no packet or
+    // arbitration traffic (the engine.pipeline.* counters record that
+    // saving instead).
+    const PagePtr operand = FetchOperand(p, /*count_packet=*/true,
+                                         "operand fetch");
     if (operand != nullptr) {
       const Page& page = *operand;
-      if (!p.direct) {
-        ctr.packets.fetch_add(1, std::memory_order_relaxed);
-        ctr.arbitration_bytes.fetch_add(
-            static_cast<uint64_t>(page.payload_bytes()),
-            std::memory_order_relaxed);
-        ctr.overhead_bytes.fetch_add(
-            static_cast<uint64_t>(impl->opts().packet_overhead_bytes),
-            std::memory_order_relaxed);
-      }
       impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query,
                         node->id, slot,
                         static_cast<uint64_t>(page.payload_bytes()),
                         p.direct ? "fused-direct" : nullptr);
 
-      EdgeSink sink(out.get());
       Status s = Status::OK();
       if (fused.has_value()) {
         // Unary-chain collapse: one pass over the raw input page runs
         // every absorbed step plus this node's own operation, emitting
-        // straight into the output edge. The absorbed producers' pages
+        // straight into the output packer. The absorbed producers' pages
         // never exist (one elision per absorbed edge per input page).
         ctr.pipeline_fused_pages.fetch_add(1, std::memory_order_relaxed);
         ctr.pipeline_pages_elided.fetch_add(
             static_cast<uint64_t>(fused_chain_len),
             std::memory_order_relaxed);
-        s = RunFusedPipeline(*fused, page, &sink, &ctr.kernel);
+        s = RunFusedPipeline(*fused, page, &*out, &ctr.kernel);
       } else {
-        s = program->Consume(slot, page, &sink, &ctr.kernel);
+        s = program->Consume(slot, page, &*out, &ctr.kernel);
       }
       if (!s.ok()) query->Fail(s.WithContext("operator task"));
     }
@@ -743,29 +712,9 @@ void NodeState::RunJoinOuter(OuterWork w) {
                     w.first ? "join-outer" : "join-resume");
   const bool failed = query->failed.load(std::memory_order_relaxed);
 
-  PagePtr outer_page;
-  if (!failed) {
-    if (w.outer.direct) {
-      // Fused outer edge: the live page skips the fetch and its traffic.
-      outer_page = w.outer.page;
-    } else {
-      auto fetched = impl->buffer()->Fetch(w.outer.id);
-      if (!fetched.ok()) {
-        query->Fail(fetched.status().WithContext("join outer fetch"));
-      } else {
-        outer_page = *fetched;
-        if (w.first) {
-          ctr.packets.fetch_add(1, std::memory_order_relaxed);
-          ctr.arbitration_bytes.fetch_add(
-              static_cast<uint64_t>(outer_page->payload_bytes()),
-              std::memory_order_relaxed);
-          ctr.overhead_bytes.fetch_add(
-              static_cast<uint64_t>(impl->opts().packet_overhead_bytes),
-              std::memory_order_relaxed);
-        }
-      }
-    }
-  }
+  // A resumed outer task counted its packet on the first pass.
+  const PagePtr outer_page =
+      failed ? nullptr : FetchOperand(w.outer, w.first, "join outer fetch");
   w.first = false;
 
   for (;;) {
@@ -795,36 +744,21 @@ void NodeState::RunJoinOuter(OuterWork w) {
     }
     if (!failed && outer_page != nullptr &&
         !query->failed.load(std::memory_order_relaxed)) {
-      EdgeSink sink(out.get());
       JoinScratch scratch;  // Reused across every inner page of this task.
       for (const PendingPage& inner : batch) {
-        PagePtr inner_page;
-        if (inner.direct) {
-          // Fused inner edge: every broadcast re-delivery of this page is
-          // a fetch (and a packet) that never happens.
-          inner_page = inner.page;
-        } else {
-          auto inner_fetched = impl->buffer()->Fetch(inner.id);
-          if (!inner_fetched.ok()) {
-            query->Fail(
-                inner_fetched.status().WithContext("join inner fetch"));
-            break;
-          }
-          inner_page = *inner_fetched;
-          // Each inner-page delivery is one broadcast packet (Section 4.2).
-          ctr.packets.fetch_add(1, std::memory_order_relaxed);
-          ctr.arbitration_bytes.fetch_add(
-              static_cast<uint64_t>(inner_page->payload_bytes()),
-              std::memory_order_relaxed);
-          ctr.overhead_bytes.fetch_add(
-              static_cast<uint64_t>(impl->opts().packet_overhead_bytes),
-              std::memory_order_relaxed);
+        // Each fetched inner page is one broadcast packet (Section 4.2); on
+        // a fused inner edge every re-delivery is a fetch that never
+        // happens.
+        const PagePtr inner_page =
+            FetchOperand(inner, /*count_packet=*/true, "join inner fetch");
+        if (inner_page == nullptr) break;
+        if (!inner.direct) {
           impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query,
                             node->id, 1,
                             static_cast<uint64_t>(inner_page->payload_bytes()),
                             "broadcast");
         }
-        Status s = program->Join(*outer_page, *inner_page, &scratch, &sink,
+        Status s = program->Join(*outer_page, *inner_page, &scratch, &*out,
                                  &ctr.kernel);
         if (!s.ok()) {
           query->Fail(s.WithContext("join task"));
@@ -837,6 +771,29 @@ void NodeState::RunJoinOuter(OuterWork w) {
   impl->RecordTrace(obs::TraceEventKind::kTaskExecuted, query, node->id, 0, 0,
                     "join-outer");
   TryFinalize();
+}
+
+PagePtr NodeState::FetchOperand(const PendingPage& p, bool count_packet,
+                                const char* context) {
+  if (p.direct) return p.page;
+  auto fetched = impl->buffer()->Fetch(p.id);
+  if (!fetched.ok()) {
+    query->Fail(fetched.status().WithContext(context));
+    return nullptr;
+  }
+  if (count_packet) {
+    CountPacket(static_cast<uint64_t>((*fetched)->payload_bytes()));
+  }
+  return *std::move(fetched);
+}
+
+void NodeState::CountPacket(uint64_t payload_bytes) {
+  EngineCounters& ctr = query->counters;
+  ctr.packets.fetch_add(1, std::memory_order_relaxed);
+  ctr.arbitration_bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
+  ctr.overhead_bytes.fetch_add(
+      static_cast<uint64_t>(impl->opts().packet_overhead_bytes),
+      std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -870,13 +827,18 @@ void NodeState::RunFinalizeAndClose() {
   if (!query->failed.load(std::memory_order_relaxed)) {
     // An aggregate emits its groups; an append or delete applies its
     // storage effect.
-    EdgeSink sink(out.get());
-    Status s = program->Finish(&sink);
+    Status s = program->Finish(&*out);
     if (s.ok()) s = program->ApplyEffect();
     if (!s.ok()) query->Fail(s.WithContext("finalize"));
   }
-  Status close = out->CloseProducer();
+  // Closing seals the last partial page ahead of the close signal.
+  Status close = out->Close();
   if (!close.ok()) query->Fail(close);
+  if (parent != nullptr) {
+    parent->OnClose(parent_slot);
+  } else {
+    impl->OnQueryDone(query);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -910,13 +872,13 @@ void SchedulerImpl::ScanStep(NodeState* node,
   }
   if (node->pushdown_pred.has_value()) {
     // Pushdown path: the compiled restrict runs where the page lives;
-    // survivors repack into unit pages on the output edge, so the
+    // survivors repack into unit pages in the output packer, so the
     // consumer's operand fetches (arbitration traffic) shrink with the
     // selectivity.
     CompiledFilter filter(&*node->pushdown_pred);
-    EdgePushdownSink sink(node->out.get());
     PushdownCounters local;
-    Status s = buffer_.ReadFiltered((*ids)[idx], filter, &sink, &local);
+    Status s =
+        buffer_.ReadFiltered((*ids)[idx], filter, &*node->out, &local);
     node->query->counters.pushdown.Add(local);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, node->query,
                 node->node->id, 0, local.tuples_out, "scan-pushdown");
@@ -946,12 +908,7 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
     const uint64_t before_bytes =
         node->program->file()->tuple_count() *
         static_cast<uint64_t>(node->node->output_schema.tuple_width());
-    q->counters.packets.fetch_add(1, std::memory_order_relaxed);
-    q->counters.arbitration_bytes.fetch_add(before_bytes,
-                                            std::memory_order_relaxed);
-    q->counters.overhead_bytes.fetch_add(
-        static_cast<uint64_t>(opts().packet_overhead_bytes),
-        std::memory_order_relaxed);
+    node->CountPacket(before_bytes);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, q, node->node->id, 0,
                 before_bytes, "delete");
   }
@@ -1060,7 +1017,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   // Per-edge pipeline decision for the edge to this node's plan consumer.
   // A fused edge whose consumer could have absorbed this node never gets
   // here (the consumer skipped BuildNode for it), so a fused edge at this
-  // point delivers `direct`: its pages keep their Edge packing (join output
+  // point delivers `direct`: its pages keep their packing (join output
   // order depends on operand page boundaries) but skip the buffer-hierarchy
   // round trip, and the consumer uses the live pointer without a fetch.
   bool direct = false;
@@ -1074,69 +1031,50 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
     }
   }
 
-  // Output edge: unit is the configured page size, or one tuple under
-  // tuple granularity.
+  // Output packer: each sealed page goes into the query result at the
+  // root, live to the consumer on a fused edge, else through the buffer
+  // hierarchy.
   const int tuple_width = std::max(1, n->output_schema.tuple_width());
-  const int unit = opts().granularity == Granularity::kTuple
-                       ? tuple_width
-                       : std::max(opts().page_bytes, tuple_width);
   const RelationId pseudo = 0xD0000000u + static_cast<RelationId>(n->id);
-  const bool count_distribution = n->op != PlanOp::kScan;
+  const bool count_distribution = n->op != PlanOp::kScan && !direct;
   const int node_id = n->id;
-  if (parent == nullptr) {
-    // Root: deliver into the query result.
-    ns->out = std::make_unique<Edge>(
-        pseudo, tuple_width, unit,
-        [this, q, node_id, count_distribution](PagePtr page) {
-          if (count_distribution) {
-            q->counters.distribution_bytes.fetch_add(
-                static_cast<uint64_t>(page->payload_bytes()),
-                std::memory_order_relaxed);
-          }
-          q->counters.pages_produced.fetch_add(1, std::memory_order_relaxed);
-          q->counters.tuples_produced.fetch_add(
-              static_cast<uint64_t>(page->num_tuples()),
+  ns->out.emplace(
+      pseudo, tuple_width,
+      UnitBytes(opts().granularity, opts().page_bytes, tuple_width),
+      [this, q, node_id, parent, slot, count_distribution,
+       direct](PagePtr page) {
+        if (count_distribution) {
+          q->counters.distribution_bytes.fetch_add(
+              static_cast<uint64_t>(page->payload_bytes()),
               std::memory_order_relaxed);
-          RecordTrace(obs::TraceEventKind::kPageProduced, q, node_id, -1,
-                      static_cast<uint64_t>(page->payload_bytes()), "root");
+        }
+        q->counters.pages_produced.fetch_add(1, std::memory_order_relaxed);
+        q->counters.tuples_produced.fetch_add(
+            static_cast<uint64_t>(page->num_tuples()),
+            std::memory_order_relaxed);
+        RecordTrace(obs::TraceEventKind::kPageProduced, q, node_id, -1,
+                    static_cast<uint64_t>(page->payload_bytes()),
+                    parent == nullptr ? "root"
+                    : direct          ? "fused-direct"
+                                      : nullptr);
+        if (parent == nullptr) {
           std::lock_guard<std::mutex> lock(q->result_mu);
           q->result.AddPage(std::move(page));
-        },
-        [this, q] { OnQueryDone(q); });
-  } else {
-    ns->out = std::make_unique<Edge>(
-        pseudo, tuple_width, unit,
-        [this, q, node_id, parent, slot, count_distribution,
-         direct](PagePtr page) {
-          if (count_distribution && !direct) {
-            q->counters.distribution_bytes.fetch_add(
-                static_cast<uint64_t>(page->payload_bytes()),
-                std::memory_order_relaxed);
-          }
-          q->counters.pages_produced.fetch_add(1, std::memory_order_relaxed);
-          q->counters.tuples_produced.fetch_add(
-              static_cast<uint64_t>(page->num_tuples()),
-              std::memory_order_relaxed);
-          RecordTrace(obs::TraceEventKind::kPageProduced, q, node_id, -1,
-                      static_cast<uint64_t>(page->payload_bytes()),
-                      direct ? "fused-direct" : nullptr);
-          if (direct) {
-            // Fused edge: the page is handed to the consumer live — the
-            // PutNew/Fetch round trip (and its distribution/arbitration
-            // traffic) is elided.
-            q->counters.pipeline_pages_elided.fetch_add(
-                1, std::memory_order_relaxed);
-            parent->OnPage(slot, PendingPage{std::move(page), PageId{}, true});
-            return;
-          }
+        } else if (direct) {
+          // Fused edge: the page is handed to the consumer live — the
+          // PutNew/Fetch round trip (and its distribution/arbitration
+          // traffic) is elided.
+          q->counters.pipeline_pages_elided.fetch_add(
+              1, std::memory_order_relaxed);
+          parent->OnPage(slot, PendingPage{std::move(page), PageId{}, true});
+        } else {
           const PageId id = buffer_.PutNew(page);
           q->RecordIntermediate(id);
           parent->OnPage(slot, PendingPage{std::move(page), id});
-        },
-        [parent, slot] { parent->OnClose(slot); });
-  }
+        }
+      });
 
-  // Children are wired after this node exists so their edges can reference
+  // Children are wired after this node exists so their packers can reference
   // it. A fusable unary consumer first absorbs the chain of fused
   // producers below it: those nodes get no NodeState — the chain compiles
   // into ns->fused and the chain's input wires directly to this node.

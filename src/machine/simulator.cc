@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/concurrency.h"
+#include "engine/exec_options.h"
 #include "index/access_path.h"
 #include "machine/event_queue.h"
 #include "machine/fault_injector.h"
@@ -20,6 +21,7 @@
 #include "obs/trace.h"
 #include "operators/node_program.h"
 #include "ra/expr_compile.h"
+#include "storage/page_sink.h"
 
 namespace dfdb {
 
@@ -59,53 +61,14 @@ struct StagedPage {
 
 enum class InstrPhase { kWaiting, kRunning, kFlushing, kFinished };
 
-/// PageSink at an IP. "Tuples of the result relation are first placed by
-/// the IP in an internal buffer" (Section 4.2): here one machine unit,
-/// handed back in \p full each time it fills. Counts the bytes emitted for
-/// the processor-time model.
-class IpResultSink final : public PageSink {
- public:
-  IpResultSink(const Schema& schema, int unit, std::unique_ptr<Page>* buf,
-               std::vector<PagePtr>* full)
-      : width_(std::max(1, schema.tuple_width())),
-        unit_(unit),
-        buf_(buf),
-        full_(full) {}
-
-  Status Emit(Slice tuple) override { return EmitParts(&tuple, 1); }
-  Status EmitParts(const Slice* parts, size_t n) override {
-    for (size_t k = 0; k < n; ++k) {
-      bytes_ += static_cast<int64_t>(parts[k].size());
-    }
-    if (*buf_ == nullptr) {
-      DFDB_ASSIGN_OR_RETURN(Page page, Page::Create(0, width_, unit_));
-      *buf_ = std::make_unique<Page>(std::move(page));
-    }
-    DFDB_RETURN_IF_ERROR((*buf_)->AppendParts(parts, n));
-    if ((*buf_)->full()) {
-      full_->push_back(SealPage(std::move(**buf_)));
-      buf_->reset();
-    }
-    return Status::OK();
-  }
-  int64_t bytes() const { return bytes_; }
-
- private:
-  int width_;
-  int unit_;
-  std::unique_ptr<Page>* buf_;
-  std::vector<PagePtr>* full_;
-  int64_t bytes_ = 0;
-};
-
 struct OperandRt {
   std::vector<StagedPage> pages;
   bool complete = false;
   /// Streaming cursor: pages before this index have been assigned.
   size_t next_unassigned = 0;
-  /// Compressor for repacking partial/mismatched pages into machine units.
-  std::unique_ptr<Page> partial;
-  uint64_t total_tuples = 0;
+  /// The IC's compressor: arriving pages and tuples become machine units,
+  /// each delivered as a staged page as it fills.
+  std::unique_ptr<PagePacker> packer;
   /// Near-data pushdown (PlanNode::pushdown on the staged scan): the
   /// compiled restrict runs at the disk-cache port during staging, so only
   /// surviving tuples cross into IC memory. Set by StartStaging.
@@ -118,7 +81,12 @@ struct IpRt {
   int instr = -1;  ///< Owning instruction, -1 = in the MC pool.
   bool busy = false;
   bool flush_sent = false;
-  std::unique_ptr<Page> result_buf;
+  /// "Tuples of the result relation are first placed by the IP in an
+  /// internal buffer" (Section 4.2): one machine unit of the owning
+  /// instruction's output, opened at each grant. Sealed pages wait in
+  /// `sealed` until the kernel's service time has elapsed.
+  std::unique_ptr<PagePacker> results;
+  std::vector<PagePtr> sealed;
 
   // Fault state. A dead IP stops accepting packets at its kill tick
   // (fail-stop at packet boundaries); `removed` flips once the MC has
@@ -220,6 +188,16 @@ class Sim {
       instrs_[i].def = &prog_.instructions[i];
       instrs_[i].ic = static_cast<int>(i) % cfg_.num_instruction_controllers;
       instrs_[i].operands.resize(prog_.instructions[i].operands.size());
+      for (size_t slot = 0; slot < instrs_[i].operands.size(); ++slot) {
+        const Schema& schema = prog_.instructions[i].operands[slot].schema;
+        instrs_[i].operands[slot].packer = std::make_unique<PagePacker>(
+            0, schema.tuple_width(),
+            UnitBytes(opt_.granularity, cfg_.page_bytes, schema.tuple_width()),
+            [this, id = static_cast<int>(i), slot](PagePtr page) {
+              DeliverOperandPage(id, static_cast<int>(slot),
+                                 StagedPage{std::move(page), NextUid()});
+            });
+      }
       auto program = NodeProgram::Build(*prog_.instructions[i].node, storage_,
                                         &kernel_stats_,
                                         PartitionsOf(instrs_[i]));
@@ -236,13 +214,6 @@ class Sim {
 
  private:
   // ---- helpers -----------------------------------------------------------
-  int MachineUnitBytes(const Schema& schema) const {
-    const int width = std::max(1, schema.tuple_width());
-    return opt_.granularity == Granularity::kTuple
-               ? width
-               : std::max(cfg_.page_bytes, width);
-  }
-
   void Fail(const Status& s) {
     if (error_.ok()) error_ = s;
   }
@@ -333,8 +304,7 @@ class Sim {
   void StartStaging(int instr_id, int slot);
   void StageNextRawPage(int instr_id, int slot,
                         std::shared_ptr<std::vector<PageId>> ids, size_t idx);
-  void RepackInto(int instr_id, int slot, const Page& raw);
-  void FlushPartialOperand(int instr_id, int slot);
+  void RepackInto(int instr_id, int slot, const PagePtr& raw);
   void DeliverOperandPage(int instr_id, int slot, StagedPage staged);
   void CompleteOperand(int instr_id, int slot);
   void TryStart(int instr_id);
@@ -482,18 +452,11 @@ class Sim {
   StatusOr<std::pair<std::vector<PagePtr>, int64_t>> RunKernel(
       InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
       int partition = 0);
-  IpResultSink ResultSink(const InstrRt& ir, IpRt* ip,
-                          std::vector<PagePtr>* full) const {
-    const Schema& schema = ir.def->output_schema;
-    return IpResultSink(schema, MachineUnitBytes(schema), &ip->result_buf,
-                        full);
-  }
-  /// Ships the IP's partially filled result page, if any.
+  /// Ships the IP's sealed result pages and its partially filled one.
   void ShipResultBuffer(int instr_id, IpRt* ip) {
-    if (ip->result_buf != nullptr && !ip->result_buf->empty()) {
-      SendResultPage(instr_id, SealPage(std::move(*ip->result_buf)));
-    }
-    ip->result_buf.reset();
+    ip->results->Flush();
+    for (PagePtr& page : ip->sealed) SendResultPage(instr_id, std::move(page));
+    ip->sealed.clear();
   }
 
   // ---- state -------------------------------------------------------------
@@ -726,58 +689,32 @@ void Sim::StageNextRawPage(int instr_id, int slot,
               CacheStallPenalty();
   }
   eq_.ScheduleAt(arrival, [this, instr_id, slot, ids, idx, page] {
-    RepackInto(instr_id, slot, *page);
+    RepackInto(instr_id, slot, page);
     StageNextRawPage(instr_id, slot, ids, idx + 1);
   });
 }
 
-void Sim::RepackInto(int instr_id, int slot, const Page& raw) {
+void Sim::RepackInto(int instr_id, int slot, const PagePtr& raw) {
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  OperandRt& op = ir.operands[static_cast<size_t>(slot)];
-  const MachineOperand& mop = ir.def->operands[static_cast<size_t>(slot)];
-  const Schema& schema = mop.schema;
-  const int unit = MachineUnitBytes(schema);
+  PagePacker& packer = *ir.operands[static_cast<size_t>(slot)].packer;
   // A folded restrict filters here, while the IC compacts staged tuples
   // into machine units: the consumer sees the same filtered operand stream
   // it would get from a restrict instruction, minus that instruction's IP
   // occupancy and ring crossings.
-  const std::optional<CompiledPredicate>& filter = mop.filter_pred;
-  if (filter.has_value()) report_.pipeline_fused_pages++;
-  for (int i = 0; i < raw.num_tuples(); ++i) {
-    if (filter.has_value() && !filter->Matches(raw.tuple(i).data(), nullptr)) {
-      continue;
-    }
-    if (op.partial == nullptr) {
-      auto page = Page::Create(0, schema.tuple_width(), unit);
-      if (!page.ok()) {
-        Fail(page.status());
-        return;
+  const std::optional<CompiledPredicate>& filter =
+      ir.def->operands[static_cast<size_t>(slot)].filter_pred;
+  Status s = Status::OK();
+  if (filter.has_value()) {
+    report_.pipeline_fused_pages++;
+    for (int i = 0; i < raw->num_tuples() && s.ok(); ++i) {
+      if (filter->Matches(raw->tuple(i).data(), nullptr)) {
+        s = packer.Emit(raw->tuple(i));
       }
-      op.partial = std::make_unique<Page>(*std::move(page));
     }
-    Status s = op.partial->Append(raw.tuple(i));
-    if (!s.ok()) {
-      Fail(s);
-      return;
-    }
-    op.total_tuples++;
-    if (op.partial->full()) {
-      StagedPage staged{SealPage(std::move(*op.partial)), NextUid()};
-      op.partial.reset();
-      DeliverOperandPage(instr_id, slot, std::move(staged));
-    }
+  } else {
+    s = packer.EmitPage(raw);
   }
-}
-
-void Sim::FlushPartialOperand(int instr_id, int slot) {
-  InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  OperandRt& op = ir.operands[static_cast<size_t>(slot)];
-  if (op.partial != nullptr && !op.partial->empty()) {
-    StagedPage staged{SealPage(std::move(*op.partial)), NextUid()};
-    op.partial.reset();
-    DeliverOperandPage(instr_id, slot, std::move(staged));
-  }
-  op.partial.reset();
+  if (!s.ok()) Fail(s);
 }
 
 void Sim::DeliverOperandPage(int instr_id, int slot, StagedPage staged) {
@@ -802,9 +739,10 @@ void Sim::DeliverOperandPage(int instr_id, int slot, StagedPage staged) {
 }
 
 void Sim::CompleteOperand(int instr_id, int slot) {
-  FlushPartialOperand(instr_id, slot);
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  ir.operands[static_cast<size_t>(slot)].complete = true;
+  OperandRt& op = ir.operands[static_cast<size_t>(slot)];
+  op.packer->Flush();
+  op.complete = true;
   if (ir.phase == InstrPhase::kWaiting) {
     TryStart(instr_id);
   } else if (ir.phase == InstrPhase::kRunning) {
@@ -908,9 +846,16 @@ void Sim::HandleIpRequestAtMc(int instr_id) {
   }
   // Bind the processors immediately so the pool stays consistent; the IC
   // only uses them once the grant message arrives.
+  const int width = std::max(1, ir.def->output_schema.tuple_width());
   for (int ip : grant) {
-    ips_[static_cast<size_t>(ip)].instr = instr_id;
-    ips_[static_cast<size_t>(ip)].flush_sent = false;
+    IpRt& bound = ips_[static_cast<size_t>(ip)];
+    bound.instr = instr_id;
+    bound.flush_sent = false;
+    bound.results = std::make_unique<PagePacker>(
+        0, width, UnitBytes(opt_.granularity, cfg_.page_bytes, width),
+        [this, ip](PagePtr page) {
+          ips_[static_cast<size_t>(ip)].sealed.push_back(std::move(page));
+        });
     ir.ips.push_back(ip);
     Tr(obs::TraceEventKind::kTaskClaimed, instr_id, ip, 0, "ip-grant");
   }
@@ -947,7 +892,7 @@ void Sim::ReleaseAllIps(int instr_id) {
   for (int ip_id : ir.ips) {
     IpRt& ip = ips_[static_cast<size_t>(ip_id)];
     ip.instr = -1;
-    ip.result_buf.reset();
+    ip.results.reset();
     ip.has_outer = false;
     ip.irc.Resize(0);
     ip.pending_inner.clear();
@@ -1551,7 +1496,6 @@ void Sim::DeliverResult(int producer_instr, PagePtr page) {
     StagedPage staged{std::move(page), NextUid(), /*at_ip=*/true};
     page_sizes_.emplace(staged.uid, staged.page->payload_bytes());
     op.pages.push_back(std::move(staged));
-    op.total_tuples += static_cast<uint64_t>(op.pages.back().page->num_tuples());
     if (ir.phase == InstrPhase::kWaiting) {
       TryStart(def.consumer);
     } else if (ir.phase == InstrPhase::kRunning) {
@@ -1561,7 +1505,7 @@ void Sim::DeliverResult(int producer_instr, PagePtr page) {
   }
   // Repack into the consumer's operand units (the ICs "compress [pages] to
   // form full pages").
-  RepackInto(def.consumer, def.consumer_slot, *page);
+  RepackInto(def.consumer, def.consumer_slot, page);
 }
 
 // ---------------------------------------------------------------------------
@@ -1631,11 +1575,8 @@ void Sim::IpFlushArrive(int instr_id, int ip_id) {
   IpRt& ip = ips_[static_cast<size_t>(ip_id)];
   // Aggregates materialize their groups at flush time on the single
   // barrier IP.
-  std::vector<PagePtr> pages;
-  IpResultSink sink = ResultSink(ir, &ip, &pages);
-  Status s = ir.program->Finish(&sink);
+  Status s = ir.program->Finish(ip.results.get());
   if (!s.ok()) Fail(s);
-  for (PagePtr& p : pages) SendResultPage(instr_id, std::move(p));
   ShipResultBuffer(instr_id, &ip);
   Tr(obs::TraceEventKind::kTaskExecuted, instr_id, ip_id, 0, "flush");
   const SimTime service = cfg_.processor.packet_overhead;
@@ -2007,15 +1948,18 @@ void Sim::InjectCacheStall(SimTime duration) {
 StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
     InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
     int partition) {
+  PagePacker* out = ip->results.get();
+  const uint64_t before = out->tuples_emitted();
+  Status s = inner != nullptr
+                 ? ir->program->Join(in, *inner, &ir->join_scratch, out,
+                                     &kernel_stats_)
+                 : ir->program->Consume(slot, in, out, &kernel_stats_,
+                                        partition);
   std::vector<PagePtr> full;
-  IpResultSink sink = ResultSink(*ir, ip, &full);
-  DFDB_RETURN_IF_ERROR(
-      inner != nullptr
-          ? ir->program->Join(in, *inner, &ir->join_scratch, &sink,
-                              &kernel_stats_)
-          : ir->program->Consume(slot, in, &sink, &kernel_stats_,
-                                 partition));
-  return std::make_pair(std::move(full), sink.bytes());
+  full.swap(ip->sealed);
+  DFDB_RETURN_IF_ERROR(s);
+  const auto tuples = static_cast<int64_t>(out->tuples_emitted() - before);
+  return std::make_pair(std::move(full), tuples * out->tuple_width());
 }
 
 // ---------------------------------------------------------------------------

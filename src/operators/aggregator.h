@@ -19,9 +19,9 @@
 
 #include "catalog/schema.h"
 #include "operators/exact_sum.h"
-#include "operators/page_sink.h"
 #include "ra/plan.h"
 #include "storage/page.h"
+#include "storage/page_sink.h"
 #include "storage/tuple.h"
 
 namespace dfdb {

@@ -22,10 +22,10 @@
 
 #include "catalog/schema.h"
 #include "obs/counters.h"
-#include "operators/page_sink.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
 #include "storage/page.h"
+#include "storage/page_sink.h"
 #include "storage/tuple.h"
 
 namespace dfdb {

@@ -28,12 +28,12 @@
 #include "operators/compiled_aggregate.h"
 #include "operators/dedup.h"
 #include "operators/kernels.h"
-#include "operators/page_sink.h"
 #include "operators/set_ops.h"
 #include "ra/expr_compile.h"
 #include "ra/plan.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
+#include "storage/page_sink.h"
 #include "storage/storage_engine.h"
 
 namespace dfdb {

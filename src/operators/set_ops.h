@@ -5,8 +5,8 @@
 #define DFDB_OPERATORS_SET_OPS_H_
 
 #include "operators/dedup.h"
-#include "operators/page_sink.h"
 #include "storage/page.h"
+#include "storage/page_sink.h"
 
 #include "common/macros.h"
 

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "catalog/schema.h"
-#include "operators/page_sink.h"
 #include "storage/page.h"
+#include "storage/page_sink.h"
 
 namespace dfdb {
 

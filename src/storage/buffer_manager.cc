@@ -52,7 +52,7 @@ StatusOr<PagePtr> BufferManager::Fetch(PageId id) {
 }
 
 Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
-                                   PushdownSink* sink,
+                                   PageSink* sink,
                                    PushdownCounters* counters) {
   auto page = store_->Get(id);
   if (!page.ok()) return page.status();

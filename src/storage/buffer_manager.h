@@ -17,6 +17,7 @@
 
 #include "common/macros.h"
 #include "obs/counters.h"
+#include "storage/page_sink.h"
 #include "storage/page_store.h"
 #include "storage/pushdown.h"
 
@@ -47,7 +48,7 @@ class BufferManager {
   /// cannot filter) and then filters at the cache. Counters are charged to
   /// \p counters when non-null.
   Status ReadFiltered(PageId id, const PushdownFilter& filter,
-                      PushdownSink* sink, PushdownCounters* counters);
+                      PageSink* sink, PushdownCounters* counters);
 
   /// Registers a freshly produced page: stores it in mass storage's map
   /// (logical home), makes it resident in local memory, and returns its id.
@@ -77,12 +78,10 @@ class BufferManager {
   };
 
   // All private helpers require mu_ held.
-  void TouchLocked(PageId id, Entry* entry);
   void InsertLocalLocked(PageId id, int bytes);
   void InsertCacheLocked(PageId id, int bytes);
   void EvictFromLocalLocked();
   void EvictFromCacheLocked();
-  Level FindLocked(PageId id) const;
 
   PageStore* store_;
   const int local_capacity_;

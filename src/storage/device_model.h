@@ -134,8 +134,6 @@ struct RingModel {
 struct MachineConfig {
   int num_instruction_processors = 8;
   int num_instruction_controllers = 4;
-  /// The paper's benchmark uses two memory cells per processor.
-  int memory_cells_per_processor = 2;
   int page_bytes = 16384;
   int num_disk_drives = 2;
   /// IC local memory capacity, in pages per IC. LSI-11-class controllers

@@ -69,22 +69,6 @@ Status Page::AppendParts(const Slice* parts, size_t n) {
   return Status::OK();
 }
 
-StatusOr<int> Page::FillFrom(const Page& other, int from_tuple) {
-  if (other.tuple_width_ != tuple_width_) {
-    return Status::InvalidArgument("tuple widths differ");
-  }
-  if (from_tuple < 0 || from_tuple > other.num_tuples_) {
-    return Status::OutOfRange("from_tuple out of range");
-  }
-  int copied = 0;
-  for (int i = from_tuple; i < other.num_tuples_ && !full(); ++i) {
-    Status s = Append(other.tuple(i));
-    if (!s.ok()) return s;
-    ++copied;
-  }
-  return copied;
-}
-
 std::string Page::Serialize() const {
   std::string out;
   out.reserve(kHeaderBytes + data_.size());

@@ -38,7 +38,6 @@ class Page {
                                int capacity_bytes);
 
   RelationId relation() const { return relation_; }
-  void set_relation(RelationId r) { relation_ = r; }
 
   int tuple_width() const { return tuple_width_; }
   int capacity_bytes() const { return capacity_bytes_; }
@@ -67,11 +66,6 @@ class Page {
     return Slice(data_.data() + static_cast<size_t>(i) * tuple_width_,
                  static_cast<size_t>(tuple_width_));
   }
-
-  /// Copies all tuples of \p other that fit; returns how many were copied.
-  /// Used by instruction controllers to "compress partial pages into full
-  /// pages" (Section 4.2). Tuple widths must match.
-  StatusOr<int> FillFrom(const Page& other, int from_tuple);
 
   /// Serializes header + payload (for packet round-trip and persistence
   /// tests).

@@ -39,13 +39,6 @@ size_t PageStore::size() const {
   return pages_.size();
 }
 
-int64_t PageStore::TotalPayloadBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [id, page] : pages_) total += page->payload_bytes();
-  return total;
-}
-
 PageStoreStats PageStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

@@ -46,9 +46,6 @@ class PageStore {
   /// Number of live pages.
   size_t size() const;
 
-  /// Total payload bytes across live pages.
-  int64_t TotalPayloadBytes() const;
-
   PageStoreStats stats() const;
   void ResetStats();
 

@@ -1,20 +1,17 @@
 /// \file pushdown.h
-/// \brief Near-data predicate pushdown interfaces.
+/// \brief Near-data predicate pushdown interface.
 ///
 /// The paper's segmented per-IC disk cache (Section 4.1) exists so operand
 /// pages can be filtered close to where they live instead of saturating the
-/// arbitration network (Section 3.3). These types let the storage hierarchy
-/// run a compiled restrict during the cache -> local transfer without the
-/// storage layer depending on the expression subsystem: the engine adapts a
-/// `CompiledPredicate` behind `PushdownFilter` and an output `Edge` behind
-/// `PushdownSink`, and `BufferManager::ReadFiltered` ships only surviving
-/// tuples up the hierarchy.
+/// arbitration network (Section 3.3). `PushdownFilter` lets the storage
+/// hierarchy run a compiled restrict during the cache -> local transfer
+/// without the storage layer depending on the expression subsystem: the
+/// engine adapts a `CompiledPredicate` behind it, and
+/// `BufferManager::ReadFiltered` emits only surviving tuples into the scan's
+/// output `PageSink`.
 
 #ifndef DFDB_STORAGE_PUSHDOWN_H_
 #define DFDB_STORAGE_PUSHDOWN_H_
-
-#include "common/slice.h"
-#include "common/status.h"
 
 namespace dfdb {
 
@@ -28,13 +25,6 @@ class PushdownFilter {
  public:
   virtual ~PushdownFilter() = default;
   virtual bool Matches(const char* tuple) const = 0;
-};
-
-/// \brief Receives the tuples that survive a pushed-down read.
-class PushdownSink {
- public:
-  virtual ~PushdownSink() = default;
-  virtual Status Emit(Slice tuple) = 0;
 };
 
 }  // namespace dfdb

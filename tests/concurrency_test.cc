@@ -1,18 +1,13 @@
 /// \file concurrency_test.cc
-/// \brief Tests for MC-style admission control (ConflictManager) and the
-/// dataflow Edge.
+/// \brief Tests for MC-style admission control (ConflictManager and
+/// AdmissionQueue).
 
 #include "engine/concurrency.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
 #include <deque>
-#include <mutex>
-#include <thread>
 
-#include "engine/edge.h"
 #include "tests/test_util.h"
 
 namespace dfdb {
@@ -203,125 +198,6 @@ TEST(AdmissionQueueTest, CancelAllDrainsTheQueue) {
   EXPECT_EQ(cancelled[1], 3u);
   EXPECT_EQ(aq.queued(), 0u);
   EXPECT_TRUE(aq.Release(1).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Edge
-// ---------------------------------------------------------------------------
-
-class EdgeTest : public ::testing::Test {
- protected:
-  std::unique_ptr<Edge> MakeEdge(int tuple_width, int unit_bytes) {
-    return std::make_unique<Edge>(
-        1, tuple_width, unit_bytes,
-        [this](PagePtr page) { pages_.push_back(std::move(page)); },
-        [this] { closed_ = true; });
-  }
-
-  std::vector<PagePtr> pages_;
-  bool closed_ = false;
-};
-
-TEST_F(EdgeTest, CompressesTuplesIntoFullPages) {
-  auto edge = MakeEdge(10, 30);  // 3 tuples per page.
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_OK(edge->EmitTuple(Slice("0123456789")));
-  }
-  EXPECT_EQ(pages_.size(), 2u);
-  EXPECT_TRUE(pages_[0]->full());
-  ASSERT_OK(edge->CloseProducer());
-  ASSERT_EQ(pages_.size(), 3u);
-  EXPECT_EQ(pages_[2]->num_tuples(), 1);
-  EXPECT_TRUE(closed_);
-  EXPECT_EQ(edge->tuples_emitted(), 7u);
-  EXPECT_EQ(edge->pages_delivered(), 3u);
-}
-
-TEST_F(EdgeTest, FullPagePassthrough) {
-  auto edge = MakeEdge(10, 30);
-  auto page = Page::Create(1, 10, 30);
-  ASSERT_TRUE(page.ok());
-  for (int i = 0; i < 3; ++i) ASSERT_OK(page->Append(Slice("0123456789")));
-  PagePtr full = SealPage(*std::move(page));
-  ASSERT_OK(edge->EmitPage(full));
-  ASSERT_EQ(pages_.size(), 1u);
-  EXPECT_EQ(pages_[0].get(), full.get());  // Same object, no copy.
-}
-
-TEST_F(EdgeTest, PartialPageIsRepacked) {
-  auto edge = MakeEdge(10, 30);
-  auto page = Page::Create(1, 10, 30);
-  ASSERT_TRUE(page.ok());
-  ASSERT_OK(page->Append(Slice("0123456789")));
-  ASSERT_OK(edge->EmitPage(SealPage(*std::move(page))));
-  EXPECT_TRUE(pages_.empty());  // Buffered, not yet a full unit.
-  ASSERT_OK(edge->CloseProducer());
-  ASSERT_EQ(pages_.size(), 1u);
-  EXPECT_EQ(pages_[0]->num_tuples(), 1);
-}
-
-TEST_F(EdgeTest, MismatchedWidthPageRejected) {
-  auto edge = MakeEdge(10, 30);
-  auto page = Page::Create(1, 5, 30);
-  ASSERT_TRUE(page.ok());
-  PagePtr p = SealPage(*std::move(page));
-  EXPECT_TRUE(edge->EmitPage(p).IsInvalidArgument());
-}
-
-TEST_F(EdgeTest, EmitAfterCloseFails) {
-  auto edge = MakeEdge(10, 30);
-  ASSERT_OK(edge->CloseProducer());
-  EXPECT_TRUE(edge->EmitTuple(Slice("0123456789")).IsFailedPrecondition());
-  EXPECT_TRUE(edge->CloseProducer().IsFailedPrecondition());
-}
-
-TEST_F(EdgeTest, ConcurrentProducersLoseNoTuples) {
-  // Several producer threads emit through one edge (as parallel tasks of
-  // one instruction do); every tuple must come out exactly once.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2500;
-  std::mutex mu;
-  std::vector<PagePtr> pages;
-  Edge edge(1, 4, 40, [&](PagePtr page) {
-    std::lock_guard<std::mutex> lock(mu);
-    pages.push_back(std::move(page));
-  }, [] {});
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&edge, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int32_t v = t * kPerThread + i;
-        char buf[4];
-        std::memcpy(buf, &v, 4);
-        ASSERT_TRUE(edge.EmitTuple(Slice(buf, 4)).ok());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ASSERT_TRUE(edge.CloseProducer().ok());
-  std::vector<int32_t> seen;
-  for (const PagePtr& page : pages) {
-    for (int i = 0; i < page->num_tuples(); ++i) {
-      int32_t v;
-      std::memcpy(&v, page->tuple(i).data(), 4);
-      seen.push_back(v);
-    }
-  }
-  ASSERT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kThreads * kPerThread; ++i) {
-    ASSERT_EQ(seen[static_cast<size_t>(i)], i);
-  }
-  EXPECT_EQ(edge.tuples_emitted(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-}
-
-TEST_F(EdgeTest, UnitSmallerThanTupleClampsUp) {
-  // Tuple granularity edges: unit = one tuple even if configured smaller.
-  auto edge = MakeEdge(10, 1);
-  ASSERT_OK(edge->EmitTuple(Slice("0123456789")));
-  EXPECT_EQ(pages_.size(), 1u);  // Every tuple is immediately a page.
-  EXPECT_EQ(pages_[0]->num_tuples(), 1);
 }
 
 }  // namespace

@@ -283,25 +283,6 @@ TEST_F(OperatorsTest, AggregatorGroupsDeterministically) {
   EXPECT_EQ(total, 300);
 }
 
-TEST_F(OperatorsTest, PagedSinkSealsAndFlushes) {
-  int flushed_pages = 0;
-  uint64_t flushed_tuples = 0;
-  PagedSink sink(1, 10, 35, [&](PagePtr page) {
-    ++flushed_pages;
-    flushed_tuples += static_cast<uint64_t>(page->num_tuples());
-    return Status::OK();
-  });
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_OK(sink.Emit(Slice("0123456789")));
-  }
-  EXPECT_EQ(flushed_pages, 2);  // 3 + 3 sealed, 1 buffered.
-  ASSERT_OK(sink.Finish());
-  EXPECT_EQ(flushed_pages, 3);
-  EXPECT_EQ(flushed_tuples, 7u);
-  EXPECT_EQ(sink.tuples_emitted(), 7u);
-  EXPECT_EQ(sink.pages_flushed(), 3u);
-}
-
 TEST_F(OperatorsTest, CopyPagePreservesEverything) {
   VectorSink sink;
   ASSERT_OK(CopyPage(*b_pages_[0], &sink));

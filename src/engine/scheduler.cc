@@ -44,6 +44,13 @@ struct PendingPage {
   bool direct = false;
 };
 
+/// An inner page at a join, with the hash table every outer task probes
+/// (null when the join runs nested loops).
+struct InnerPage {
+  PendingPage page;
+  std::unique_ptr<const JoinTable> table;
+};
+
 /// One outer page's join progress: the paper's IRC vector collapses to a
 /// cursor because inner pages accumulate in arrival order.
 struct OuterWork {
@@ -97,8 +104,10 @@ struct NodeState {
   /// Leaves (scan/delete): set when the driver finished.
   bool source_done = false;
 
-  // kJoin.
-  std::vector<PendingPage> inner_pages;
+  // kJoin. Inner pages and their tables live until finalize, in a deque so
+  // outer tasks can hold pointers to entries outside the lock while later
+  // pages are appended.
+  std::deque<InnerPage> inner_pages;
   std::vector<OuterWork> parked;
   uint64_t outer_seen = 0;
   uint64_t outer_done = 0;
@@ -110,6 +119,9 @@ struct NodeState {
   // --- producer-side events (called by the child's packer wiring) ---
   void OnPage(int slot, PendingPage p);
   void OnClose(int slot);
+  /// A join's inner page: builds its hash table, makes it visible, and
+  /// wakes every parked outer task.
+  void AddInnerPage(PendingPage p);
 
   // --- task bodies ---
   void RunUnaryTask(int slot, PendingPage p);
@@ -123,6 +135,11 @@ struct NodeState {
   /// Counts one instruction packet carrying \p payload_bytes of operand
   /// across the arbitration network.
   void CountPacket(uint64_t payload_bytes);
+  /// The calling worker's tuple run, emptied for this node's output.
+  TupleRun* WorkerRun();
+  /// Packs \p run into the output pages under one packer lock, then
+  /// empties it.
+  Status EmitRun(TupleRun* run);
 
   // --- scheduling helpers ---
   void DispatchStream(int slot, PendingPage p);
@@ -440,18 +457,31 @@ class SchedulerImpl {
 
 namespace {
 
-/// PushdownFilter adapter over a compiled predicate (single-relation form:
-/// the right-side tuple is always null for a restrict-over-scan).
+/// PushdownFilter adapter over the compiled restrict page kernel. It
+/// counts no kernel.* rows: the consuming restrict counts its own pages.
 class CompiledFilter final : public PushdownFilter {
  public:
   explicit CompiledFilter(const CompiledPredicate* pred) : pred_(pred) {}
-  bool Matches(const char* tuple) const override {
-    return pred_->Matches(tuple, nullptr);
+  Status Filter(const Page& page, TupleRun* run) const override {
+    return RestrictPage(*pred_, page, run);
   }
 
  private:
   const CompiledPredicate* pred_;
 };
+
+/// What a worker reuses from task to task: the run its kernels emit into,
+/// and the key hashes of the outer page its join task probes with. A
+/// worker runs one task at a time, so neither is shared.
+struct WorkerScratch {
+  TupleRun run;
+  JoinScratch join;
+};
+
+WorkerScratch& ThisWorker() {
+  thread_local WorkerScratch scratch;
+  return scratch;
+}
 
 /// Scoped in-flight reference: prevents a query's runtime from being reaped
 /// while the holder's frames may still touch its node graph.
@@ -480,6 +510,10 @@ class InFlightGuard {
 // ---------------------------------------------------------------------------
 
 void NodeState::OnPage(int slot, PendingPage p) {
+  if (node->op == PlanOp::kJoin && slot == 1) {
+    AddInnerPage(std::move(p));
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu);
     if (!launched) {
@@ -496,22 +530,6 @@ void NodeState::DispatchStream(int slot, PendingPage p) {
   impl->RecordTrace(obs::TraceEventKind::kPacketEnqueued, query, node->id,
                     slot,
                     static_cast<uint64_t>(p.page->payload_bytes()), nullptr);
-  if (node->op == PlanOp::kJoin && slot == 1) {
-    // Inner page: make it visible, then wake every parked outer task.
-    std::vector<OuterWork> wake;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      inner_pages.push_back(std::move(p));
-      wake.swap(parked);
-      pending += wake.size();
-    }
-    for (auto& w : wake) {
-      impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
-        RunJoinOuter(std::move(w));
-      });
-    }
-    return;
-  }
   if (node->op == PlanOp::kJoin && slot == 0) {
     OuterWork w;
     w.outer = std::move(p);
@@ -550,6 +568,36 @@ void NodeState::DispatchStream(int slot, PendingPage p) {
   impl->DispatchPacket(query, [this, slot, moved]() mutable {
     RunUnaryTask(slot, std::move(moved));
   });
+}
+
+void NodeState::AddInnerPage(PendingPage p) {
+  // Built once, outside the lock: every outer task probes this table.
+  std::unique_ptr<const JoinTable> table;
+  if (program != nullptr && !query->failed.load(std::memory_order_relaxed)) {
+    table = program->BuildInnerTable(*p.page);
+  }
+  const auto bytes = static_cast<uint64_t>(p.page->payload_bytes());
+  std::vector<OuterWork> wake;
+  bool enabled;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    // Under relation granularity no outer task runs before the launch, so
+    // the page can wait here instead of in `buffered`.
+    inner_pages.push_back(InnerPage{std::move(p), std::move(table)});
+    enabled = launched;
+    if (enabled) {
+      wake.swap(parked);
+      pending += wake.size();
+    }
+  }
+  if (!enabled) return;
+  impl->RecordTrace(obs::TraceEventKind::kPacketEnqueued, query, node->id, 1,
+                    bytes, nullptr);
+  for (auto& w : wake) {
+    impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
+      RunJoinOuter(std::move(w));
+    });
+  }
 }
 
 void NodeState::OnClose(int slot) {
@@ -591,10 +639,9 @@ void NodeState::OnClose(int slot) {
 void NodeState::LaunchRelationReplayLocked(
     std::vector<std::function<void()>>* tasks) {
   // All inputs are complete; generate the instruction's tasks. Inner join
-  // pages become visible first so outer tasks complete in one pass.
+  // pages are already in inner_pages (AddInnerPage), so outer tasks
+  // complete in one pass.
   if (node->op == PlanOp::kJoin) {
-    for (auto& p : buffered[1]) inner_pages.push_back(std::move(p));
-    buffered[1].clear();
     for (auto& p : buffered[0]) {
       OuterWork w;
       w.outer = std::move(p);
@@ -676,20 +723,24 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
                         static_cast<uint64_t>(page.payload_bytes()),
                         p.direct ? "fused-direct" : nullptr);
 
+      // The kernel emits into the worker's run; the run reaches the
+      // output packer in one call.
+      TupleRun* run = WorkerRun();
       Status s = Status::OK();
       if (fused.has_value()) {
         // Unary-chain collapse: one pass over the raw input page runs
-        // every absorbed step plus this node's own operation, emitting
-        // straight into the output packer. The absorbed producers' pages
-        // never exist (one elision per absorbed edge per input page).
+        // every absorbed step plus this node's own operation. The absorbed
+        // producers' pages never exist (one elision per absorbed edge per
+        // input page).
         ctr.pipeline_fused_pages.fetch_add(1, std::memory_order_relaxed);
         ctr.pipeline_pages_elided.fetch_add(
             static_cast<uint64_t>(fused_chain_len),
             std::memory_order_relaxed);
-        s = RunFusedPipeline(*fused, page, &*out, &ctr.kernel);
+        s = RunFusedPipeline(*fused, page, run, &ctr.kernel);
       } else {
-        s = program->Consume(slot, page, &*out, &ctr.kernel);
+        s = program->Consume(slot, page, run, &ctr.kernel);
       }
+      if (s.ok()) s = EmitRun(run);
       if (!s.ok()) query->Fail(s.WithContext("operator task"));
     }
   }
@@ -717,12 +768,16 @@ void NodeState::RunJoinOuter(OuterWork w) {
       failed ? nullptr : FetchOperand(w.outer, w.first, "join outer fetch");
   w.first = false;
 
+  // The outer page's keys are hashed once, at the first inner page this
+  // task meets.
+  JoinScratch& keys = ThisWorker().join;
+  bool hashed = false;
   for (;;) {
-    std::vector<PendingPage> batch;
+    std::vector<const InnerPage*> batch;
     {
       std::lock_guard<std::mutex> lock(mu);
       for (size_t i = w.cursor; i < inner_pages.size(); ++i) {
-        batch.push_back(inner_pages[i]);
+        batch.push_back(&inner_pages[i]);
       }
     }
     if (batch.empty()) {
@@ -744,22 +799,28 @@ void NodeState::RunJoinOuter(OuterWork w) {
     }
     if (!failed && outer_page != nullptr &&
         !query->failed.load(std::memory_order_relaxed)) {
-      JoinScratch scratch;  // Reused across every inner page of this task.
-      for (const PendingPage& inner : batch) {
+      if (!hashed) {
+        program->HashOuter(*outer_page, &keys);
+        hashed = true;
+      }
+      TupleRun* run = WorkerRun();
+      for (const InnerPage* inner : batch) {
         // Each fetched inner page is one broadcast packet (Section 4.2); on
         // a fused inner edge every re-delivery is a fetch that never
         // happens.
-        const PagePtr inner_page =
-            FetchOperand(inner, /*count_packet=*/true, "join inner fetch");
+        const PagePtr inner_page = FetchOperand(
+            inner->page, /*count_packet=*/true, "join inner fetch");
         if (inner_page == nullptr) break;
-        if (!inner.direct) {
+        if (!inner->page.direct) {
           impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query,
                             node->id, 1,
                             static_cast<uint64_t>(inner_page->payload_bytes()),
                             "broadcast");
         }
-        Status s = program->Join(*outer_page, *inner_page, &scratch, &*out,
-                                 &ctr.kernel);
+        // One packer call per page pair.
+        Status s = program->Join(*outer_page, keys, *inner_page,
+                                 inner->table.get(), run, &ctr.kernel);
+        if (s.ok()) s = EmitRun(run);
         if (!s.ok()) {
           query->Fail(s.WithContext("join task"));
           break;
@@ -785,6 +846,19 @@ PagePtr NodeState::FetchOperand(const PendingPage& p, bool count_packet,
     CountPacket(static_cast<uint64_t>((*fetched)->payload_bytes()));
   }
   return *std::move(fetched);
+}
+
+TupleRun* NodeState::WorkerRun() {
+  TupleRun* run = &ThisWorker().run;
+  run->Reset(out->tuple_width());
+  return run;
+}
+
+Status NodeState::EmitRun(TupleRun* run) {
+  if (run->empty()) return Status::OK();
+  Status s = out->EmitRun(*run);
+  run->Clear();
+  return s;
 }
 
 void NodeState::CountPacket(uint64_t payload_bytes) {
@@ -824,6 +898,12 @@ void NodeState::TryFinalize() {
 }
 
 void NodeState::RunFinalizeAndClose() {
+  if (node->op == PlanOp::kJoin) {
+    // No outer task is left to probe them.
+    std::deque<InnerPage> drop;
+    std::lock_guard<std::mutex> lock(mu);
+    drop.swap(inner_pages);
+  }
   if (!query->failed.load(std::memory_order_relaxed)) {
     // An aggregate emits its groups; an append or delete applies its
     // storage effect.
@@ -856,6 +936,8 @@ void SchedulerImpl::ScanStep(NodeState* node,
   // each processor" resource bound). A yield runs no step, so it is not
   // counted as a task.
   if (idx < ids->size() && ThrottleExceeded()) {
+    node->query->counters.scan_throttle_yields.fetch_add(
+        1, std::memory_order_relaxed);
     Dispatch(node->query, [this, node, ids, idx] { ScanStep(node, ids, idx); });
     std::this_thread::yield();
     return;
@@ -877,8 +959,9 @@ void SchedulerImpl::ScanStep(NodeState* node,
     // selectivity.
     CompiledFilter filter(&*node->pushdown_pred);
     PushdownCounters local;
-    Status s =
-        buffer_.ReadFiltered((*ids)[idx], filter, &*node->out, &local);
+    TupleRun* run = node->WorkerRun();
+    Status s = buffer_.ReadFiltered((*ids)[idx], filter, run, &local);
+    if (s.ok()) s = node->EmitRun(run);
     node->query->counters.pushdown.Add(local);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, node->query,
                 node->node->id, 0, local.tuples_out, "scan-pushdown");

@@ -142,6 +142,10 @@ struct InstrRt {
   /// (a parallel project's partitions too) lives at the instruction, so
   /// processor reassignment cannot lose it.
   std::unique_ptr<NodeProgram> program;
+  /// kJoin: the hash table of each inner page, built once when the page is
+  /// staged (index = inner page index; null entries run nested loops).
+  std::vector<std::unique_ptr<const JoinTable>> inner_tables;
+  /// The key hashes of the outer page a join step probes with.
   JoinScratch join_scratch;
 };
 
@@ -447,11 +451,12 @@ class Sim {
   }
 
   /// Runs the instruction's program at \p ip on operand page \p in of
-  /// \p slot (with \p inner: one join step), appending output to the IP's
-  /// result buffer; returns the full result pages and the output bytes.
+  /// \p slot (with \p inner and its \p table: one join step), appending
+  /// output to the IP's result buffer; returns the full result pages and
+  /// the output bytes.
   StatusOr<std::pair<std::vector<PagePtr>, int64_t>> RunKernel(
       InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
-      int partition = 0);
+      const JoinTable* table, int partition = 0);
   /// Ships the IP's sealed result pages and its partially filled one.
   void ShipResultBuffer(int instr_id, IpRt* ip) {
     ip->results->Flush();
@@ -626,37 +631,18 @@ void Sim::StageNextRawPage(int instr_id, int slot,
   // Near-data pushdown: the compiled restrict runs at the cache port. The
   // filter logic streams the whole page, but only survivors cross into IC
   // memory, so the transfer (and everything downstream — repacked units,
-  // ring packets) is charged for surviving bytes only.
+  // ring packets) is charged for surviving bytes only. The survivors are
+  // packed once, at arrival (RepackInto).
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
   OperandRt& op = ir.operands[static_cast<size_t>(slot)];
   const bool pushed = op.pushdown_pred.has_value();
   int64_t transfer = bytes;
   if (pushed) {
-    const Schema& schema =
-        ir.def->operands[static_cast<size_t>(slot)].schema;
-    const int width = std::max(1, schema.tuple_width());
-    auto survivors =
-        Page::Create(0, width, std::max(static_cast<int>(bytes), width));
-    if (!survivors.ok()) {
-      Fail(survivors.status().WithContext("pushdown staging"));
-      CompleteOperand(instr_id, slot);
-      return;
-    }
-    const int in = page->num_tuples();
-    for (int i = 0; i < in; ++i) {
-      if (!op.pushdown_pred->Matches(page->tuple(i).data(), nullptr)) continue;
-      Status s = survivors->Append(page->tuple(i));
-      if (!s.ok()) {
-        Fail(s.WithContext("pushdown staging"));
-        CompleteOperand(instr_id, slot);
-        return;
-      }
-    }
-    page = SealPage(*std::move(survivors));
-    transfer = page->payload_bytes();
+    const uint64_t kept = CountMatches(*op.pushdown_pred, *page);
+    transfer = static_cast<int64_t>(kept) * page->tuple_width();
     report_.pushdown.pages_filtered++;
-    report_.pushdown.tuples_in += static_cast<uint64_t>(in);
-    report_.pushdown.tuples_out += static_cast<uint64_t>(page->num_tuples());
+    report_.pushdown.tuples_in += static_cast<uint64_t>(page->num_tuples());
+    report_.pushdown.tuples_out += kept;
     report_.pushdown.bytes_elided += static_cast<uint64_t>(bytes - transfer);
   }
   SimTime arrival;
@@ -696,24 +682,24 @@ void Sim::StageNextRawPage(int instr_id, int slot,
 
 void Sim::RepackInto(int instr_id, int slot, const PagePtr& raw) {
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  PagePacker& packer = *ir.operands[static_cast<size_t>(slot)].packer;
+  OperandRt& op = ir.operands[static_cast<size_t>(slot)];
   // A folded restrict filters here, while the IC compacts staged tuples
   // into machine units: the consumer sees the same filtered operand stream
   // it would get from a restrict instruction, minus that instruction's IP
-  // occupancy and ring crossings.
-  const std::optional<CompiledPredicate>& filter =
+  // occupancy and ring crossings. A pushed-down scan's raw page is filtered
+  // here too, by the predicate that sized its transfer; when a restrict is
+  // folded, that is the same predicate, so one pass serves both.
+  const std::optional<CompiledPredicate>& folded =
       ir.def->operands[static_cast<size_t>(slot)].filter_pred;
-  Status s = Status::OK();
-  if (filter.has_value()) {
+  const CompiledPredicate* filter = nullptr;
+  if (folded.has_value()) {
     report_.pipeline_fused_pages++;
-    for (int i = 0; i < raw->num_tuples() && s.ok(); ++i) {
-      if (filter->Matches(raw->tuple(i).data(), nullptr)) {
-        s = packer.Emit(raw->tuple(i));
-      }
-    }
-  } else {
-    s = packer.EmitPage(raw);
+    filter = &*folded;
+  } else if (op.pushdown_pred.has_value()) {
+    filter = &*op.pushdown_pred;
   }
+  Status s = filter != nullptr ? RestrictPage(*filter, *raw, op.packer.get())
+                               : op.packer->EmitPage(raw);
   if (!s.ok()) Fail(s);
 }
 
@@ -727,6 +713,10 @@ void Sim::DeliverOperandPage(int instr_id, int slot, StagedPage staged) {
   }
   InsertLocal(&ics_[static_cast<size_t>(ir.ic)], staged.uid,
               staged.page->payload_bytes());
+  if (ir.def->op == PlanOp::kJoin && slot == 1) {
+    // Every join step against this inner page probes one table.
+    ir.inner_tables.push_back(ir.program->BuildInnerTable(*staged.page));
+  }
   op.pages.push_back(std::move(staged));
   if (ir.phase == InstrPhase::kWaiting) {
     TryStart(instr_id);
@@ -1100,7 +1090,7 @@ void Sim::IpUnaryArrive(int instr_id, int ip_id, int slot, size_t unit_idx) {
       ir.operands[static_cast<size_t>(slot)].pages[page_idx];
   const Page& in = *staged.page;
 
-  auto run = RunKernel(&ir, &ip, slot, in, nullptr, partition);
+  auto run = RunKernel(&ir, &ip, slot, in, nullptr, nullptr, partition);
   if (!run.ok()) {
     Fail(run.status());
     IpUnaryDone(instr_id, ip_id, {});
@@ -1238,7 +1228,10 @@ void Sim::IpStartJoinStep(int instr_id, int ip_id, size_t inner_idx) {
   ip.irc.Set(inner_idx);
   const Page& outer = *ip.outer.page;
   const Page& inner = *ir.operands[1].pages[inner_idx].page;
-  auto run = RunKernel(&ir, &ip, /*slot=*/0, outer, &inner);
+  DFDB_CHECK(inner_idx < ir.inner_tables.size())
+      << "inner page " << inner_idx << " has no join table";
+  auto run = RunKernel(&ir, &ip, /*slot=*/0, outer, &inner,
+                       ir.inner_tables[inner_idx].get());
   if (!run.ok()) {
     Fail(run.status());
     IpJoinStepDone(instr_id, ip_id, {});
@@ -1947,14 +1940,19 @@ void Sim::InjectCacheStall(SimTime duration) {
 
 StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
     InstrRt* ir, IpRt* ip, int slot, const Page& in, const Page* inner,
-    int partition) {
+    const JoinTable* table, int partition) {
   PagePacker* out = ip->results.get();
   const uint64_t before = out->tuples_emitted();
-  Status s = inner != nullptr
-                 ? ir->program->Join(in, *inner, &ir->join_scratch, out,
-                                     &kernel_stats_)
-                 : ir->program->Consume(slot, in, out, &kernel_stats_,
-                                        partition);
+  Status s;
+  if (inner != nullptr) {
+    // An IP holds its outer page across many events, so each step hashes
+    // it afresh rather than trusting scratch from an earlier page.
+    ir->program->HashOuter(in, &ir->join_scratch);
+    s = ir->program->Join(in, ir->join_scratch, *inner, table, out,
+                          &kernel_stats_);
+  } else {
+    s = ir->program->Consume(slot, in, out, &kernel_stats_, partition);
+  }
   std::vector<PagePtr> full;
   full.swap(ip->sealed);
   DFDB_RETURN_IF_ERROR(s);

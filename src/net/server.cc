@@ -6,7 +6,10 @@
 /// QueryHandle::Done() — handles are cheap shared-state probes — so no
 /// extra thread per request is needed and Submit() is only ever called
 /// from the loop thread while Wait() is only called once Done() is true
-/// (i.e. it never blocks the loop).
+/// (i.e. it never blocks the loop). It sweeps for completions on a fixed
+/// cadence, kSweepInterval after the previous sweep, not at whatever
+/// socket event wakes it first: how long a finished query waits for its
+/// answer does not depend on other connections' traffic.
 
 #include "net/server.h"
 
@@ -17,6 +20,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +42,19 @@ namespace net {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+/// Time between two sweeps of the in-flight requests while any is pending.
+constexpr std::chrono::milliseconds kSweepInterval(1);
+
+timespec ToTimespec(SteadyClock::duration d) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::max(d, SteadyClock::duration::zero()))
+                      .count();
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(ns / 1000000000);
+  ts.tv_nsec = static_cast<long>(ns % 1000000000);
+  return ts;
+}
 
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
@@ -432,8 +449,7 @@ void Server::Loop() {
   };
 
   // Sweeps in-flight requests: answer completions, fire deadlines.
-  auto sweep_inflight = [&] {
-    const auto now = SteadyClock::now();
+  auto sweep_inflight = [&](SteadyClock::time_point now) {
     for (size_t i = 0; i < state.inflight.size();) {
       LoopState::InFlight& req = state.inflight[i];
       if (req.handle.Done()) {
@@ -465,6 +481,7 @@ void Server::Loop() {
 
   std::vector<pollfd> pfds;
   std::vector<uint64_t> pfd_conn;  // conn id per pollfd (0 = listen/wake).
+  SteadyClock::time_point next_sweep{};
 
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
@@ -502,8 +519,10 @@ void Server::Loop() {
     }
 
     const bool busy = !state.inflight.empty();
-    const int timeout_ms = busy ? 1 : (draining ? 10 : 100);
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    const timespec timeout = ToTimespec(
+        busy ? next_sweep - SteadyClock::now()
+             : std::chrono::milliseconds(draining ? 10 : 100));
+    const int ready = ::ppoll(pfds.data(), pfds.size(), &timeout, nullptr);
     if (ready < 0 && errno != EINTR) {
       DFDB_LOG(Error) << "server poll failed: " << std::strerror(errno);
       break;
@@ -555,7 +574,13 @@ void Server::Loop() {
       if (!conn.dead && (p.revents & POLLOUT) != 0) flush_conn(conn);
     }
 
-    sweep_inflight();
+    // Only the cadence sweeps: a socket event that lands between two sweeps
+    // neither answers a finished query early nor postpones the next sweep.
+    const auto now = SteadyClock::now();
+    if (now >= next_sweep) {
+      sweep_inflight(now);
+      next_sweep = now + kSweepInterval;
+    }
 
     // Try to push queued responses immediately instead of waiting one
     // poll round for POLLOUT.

@@ -53,6 +53,8 @@ enum class CounterKind {
 /// EngineFaultPlan pool-wide.
 #define DFDB_ENGINE_COUNTERS(X)                                               \
   X(tasks_executed, "tasks_executed", kCount, "Tasks run by workers")         \
+  X(scan_throttle_yields, "scan_throttle_yields", kCount,                     \
+    "Scan steps that found every memory cell full and yielded")              \
   X(packets, "packets", kCount,                                               \
     "Instruction packets; a join task counts once per inner page it reads")   \
   X(arbitration_bytes, "arbitration_bytes", kBytes,                           \
@@ -138,7 +140,7 @@ enum class CounterKind {
   X(nested_joins, "kernel.nested_joins", kCount,                              \
     "Page-pair joins on nested loops")                                        \
   X(hash_build_collisions, "kernel.hash_build_collisions", kCount,            \
-    "Build-side slot probes")
+    "Build-side slot probes of the inner table, counted at every probe")
 
 /// index.* (both backends): access-path pruning on marked scans.
 #define DFDB_INDEX_COUNTERS(X)                                                \

@@ -68,61 +68,96 @@ bool KeysEqualInnerInner(const std::vector<EquiKey>& keys, const char* a,
   return true;
 }
 
-Status HashJoinPages(const CompiledJoinPredicate& pred, const Page& outer,
-                     const Page& inner, JoinScratch* scratch, PageSink* out,
-                     KernelStats* stats) {
+}  // namespace
+
+void BuildJoinTable(const CompiledJoinPredicate& pred, const Page& inner,
+                    JoinTable* table) {
   const std::vector<EquiKey>& keys = pred.keys();
   const int m = inner.num_tuples();
-
-  // Build: open-addressing table over the inner page, >= 2x occupancy.
-  // Duplicate keys chain in ascending inner order so the probe below emits
-  // exactly the sequence the nested-loops flavour would.
   size_t nslots = 16;
   while (nslots < static_cast<size_t>(m) * 2) nslots <<= 1;
   const uint64_t mask = nslots - 1;
-  scratch->slot_hash.assign(nslots, 0);
-  scratch->head.assign(nslots, -1);
-  scratch->tail.assign(nslots, -1);
-  scratch->next.assign(static_cast<size_t>(m), -1);
-  uint64_t collisions = 0;
+  table->slot_hash.assign(nslots, 0);
+  table->head.assign(nslots, -1);
+  table->tail.assign(nslots, -1);
+  table->next.assign(static_cast<size_t>(m), -1);
+  table->collisions = 0;
   for (int j = 0; j < m; ++j) {
     const char* t = inner.tuple(j).data();
     const uint64_t h = HashKey</*kOuter=*/false>(keys, t);
     size_t s = h & mask;
     for (;;) {
-      if (scratch->head[s] < 0) {
-        scratch->slot_hash[s] = h;
-        scratch->head[s] = j;
-        scratch->tail[s] = j;
+      if (table->head[s] < 0) {
+        table->slot_hash[s] = h;
+        table->head[s] = j;
+        table->tail[s] = j;
         break;
       }
-      if (scratch->slot_hash[s] == h &&
-          KeysEqualInnerInner(keys, inner.tuple(scratch->head[s]).data(), t)) {
-        scratch->next[scratch->tail[s]] = j;
-        scratch->tail[s] = j;
+      if (table->slot_hash[s] == h &&
+          KeysEqualInnerInner(keys, inner.tuple(table->head[s]).data(), t)) {
+        table->next[static_cast<size_t>(table->tail[s])] = j;
+        table->tail[s] = j;
         break;
       }
-      ++collisions;
+      ++table->collisions;
       s = (s + 1) & mask;
     }
   }
+}
+
+void HashOuterKeys(const CompiledJoinPredicate& pred, const Page& outer,
+                   JoinScratch* scratch) {
+  scratch->outer_hash.clear();
+  if (!pred.hash_eligible()) return;
+  const int n = outer.num_tuples();
+  scratch->outer_hash.resize(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    scratch->outer_hash[static_cast<size_t>(i)] =
+        HashKey</*kOuter=*/true>(pred.keys(), outer.tuple(i).data());
+  }
+}
+
+Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
+                 const JoinScratch& scratch, const Page& inner,
+                 const JoinTable* table, PageSink* out, KernelStats* stats) {
+  if (table == nullptr) {
+    if (stats != nullptr) CountRelaxed(&stats->nested_joins);
+    for (int i = 0; i < outer.num_tuples(); ++i) {
+      const Slice outer_tuple = outer.tuple(i);
+      for (int j = 0; j < inner.num_tuples(); ++j) {
+        const Slice inner_tuple = inner.tuple(j);
+        if (pred.Matches(outer_tuple.data(), inner_tuple.data())) {
+          const Slice parts[2] = {outer_tuple, inner_tuple};
+          DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
+        }
+      }
+    }
+    return Status::OK();
+  }
+  if (scratch.outer_hash.size() != static_cast<size_t>(outer.num_tuples())) {
+    return Status::Internal("outer page keys were not hashed for this probe");
+  }
   if (stats != nullptr) {
     CountRelaxed(&stats->hash_joins);
-    if (collisions != 0) CountRelaxed(&stats->hash_build_collisions, collisions);
+    if (table->collisions != 0) {
+      CountRelaxed(&stats->hash_build_collisions, table->collisions);
+    }
   }
-
-  // Probe: one lookup per outer tuple, then walk the key's chain.
+  // One lookup per outer tuple, then walk the key's chain.
+  const std::vector<EquiKey>& keys = pred.keys();
+  const uint64_t mask = table->head.size() - 1;
   for (int i = 0; i < outer.num_tuples(); ++i) {
     const Slice outer_tuple = outer.tuple(i);
     const char* ot = outer_tuple.data();
-    const uint64_t h = HashKey</*kOuter=*/true>(keys, ot);
+    const uint64_t h = scratch.outer_hash[static_cast<size_t>(i)];
     size_t s = h & mask;
     for (;;) {
-      const int32_t head = scratch->head[s];
+      const int32_t head = table->head[s];
       if (head < 0) break;  // No inner tuple has this key.
-      if (scratch->slot_hash[s] == h &&
+      if (table->slot_hash[s] == h &&
           KeysEqualOuterInner(keys, ot, inner.tuple(head).data())) {
-        for (int32_t j = head; j >= 0; j = scratch->next[j]) {
+        for (int32_t j = head; j >= 0;
+             j = table->next[static_cast<size_t>(j)]) {
           const Slice inner_tuple = inner.tuple(j);
           if (pred.ResidualMatches(ot, inner_tuple.data())) {
             const Slice parts[2] = {outer_tuple, inner_tuple};
@@ -136,6 +171,8 @@ Status HashJoinPages(const CompiledJoinPredicate& pred, const Page& outer,
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Runs the strided per-tuple loop of a restrict with \p eval inlined.
 /// Walking raw page bytes (base + i*stride) instead of re-constructing a
@@ -311,21 +348,13 @@ Status JoinPages(const Schema& outer_schema, const Schema& inner_schema,
 Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
                  const Page& inner, JoinScratch* scratch, PageSink* out,
                  KernelStats* stats) {
-  if (pred.hash_eligible() && scratch != nullptr) {
-    return HashJoinPages(pred, outer, inner, scratch, out, stats);
+  if (!pred.hash_eligible() || scratch == nullptr) {
+    const JoinScratch none;
+    return ProbeJoin(pred, outer, none, inner, /*table=*/nullptr, out, stats);
   }
-  if (stats != nullptr) CountRelaxed(&stats->nested_joins);
-  for (int i = 0; i < outer.num_tuples(); ++i) {
-    const Slice outer_tuple = outer.tuple(i);
-    for (int j = 0; j < inner.num_tuples(); ++j) {
-      const Slice inner_tuple = inner.tuple(j);
-      if (pred.Matches(outer_tuple.data(), inner_tuple.data())) {
-        const Slice parts[2] = {outer_tuple, inner_tuple};
-        DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
-      }
-    }
-  }
-  return Status::OK();
+  BuildJoinTable(pred, inner, &scratch->table);
+  HashOuterKeys(pred, outer, scratch);
+  return ProbeJoin(pred, outer, *scratch, inner, &scratch->table, out, stats);
 }
 
 Status RunFusedPipeline(const FusedPipeline& fp, const Page& in,

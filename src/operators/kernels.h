@@ -30,14 +30,26 @@
 
 namespace dfdb {
 
-/// \brief Reusable hash-table scratch for the equijoin fast path. One per
-/// worker/kernel; JoinPages sizes it per inner page, so repeated calls do
-/// not reallocate once the vectors reach steady state.
-struct JoinScratch {
+/// \brief Open-addressing hash table over the equi-join keys of one inner
+/// page (>= 2x occupancy). BuildJoinTable fills it once per inner page;
+/// after that it is only read, so every outer page's probe, from any
+/// thread, shares it.
+struct JoinTable {
   std::vector<uint64_t> slot_hash;  ///< Full hash of the slot's key.
   std::vector<int32_t> head;        ///< Slot -> first inner tuple, -1 empty.
   std::vector<int32_t> tail;        ///< Slot -> last inner tuple in chain.
   std::vector<int32_t> next;        ///< Inner tuple -> next with equal key.
+  uint64_t collisions = 0;  ///< Taken slots the build probed past.
+};
+
+/// \brief A prober's reusable scratch: the key hashes of the outer page it
+/// is joining (HashOuterKeys), computed once per outer page and reused
+/// against every inner table, plus the table JoinPages rebuilds per call.
+/// Callers rehash whenever the outer page changes; the scratch never
+/// remembers which page it hashed.
+struct JoinScratch {
+  std::vector<uint64_t> outer_hash;  ///< One per outer tuple.
+  JoinTable table;                   ///< JoinPages' inner table.
 };
 
 /// \brief Emits tuples of \p in satisfying \p pred (the `restrict` operator
@@ -67,12 +79,33 @@ Status JoinPages(const Schema& outer_schema, const Schema& inner_schema,
                  const Expr& pred, const Page& outer, const Page& inner,
                  PageSink* out);
 
-/// \brief Compiled join. When \p pred carries equi-keys, builds an
-/// open-addressing hash table over the inner page in \p scratch and probes
-/// it with the outer page (O(n+m) instead of O(n*m)); otherwise runs
-/// program-driven nested loops. Output tuple order is identical to the
-/// nested-loops flavour in both cases: probes emit matches in ascending
-/// inner order, outer-major.
+/// \brief Builds \p table over the equi-keys of \p inner. \p pred must be
+/// hash_eligible(). Duplicate keys chain in ascending inner order.
+void BuildJoinTable(const CompiledJoinPredicate& pred, const Page& inner,
+                    JoinTable* table);
+
+/// \brief Hashes the equi-keys of every tuple of \p outer into
+/// scratch->outer_hash, for ProbeJoin against any number of inner tables.
+/// A no-op when \p pred has no equi-keys.
+void HashOuterKeys(const CompiledJoinPredicate& pred, const Page& outer,
+                   JoinScratch* scratch);
+
+/// \brief The compiled join of one outer page with one inner page. With
+/// \p table (BuildJoinTable of \p inner) it probes: one lookup per outer
+/// tuple by its hash in \p scratch (HashOuterKeys of \p outer), then the
+/// key's chain, O(n+m) instead of O(n*m). Without, it runs program-driven
+/// nested loops. Output tuple order is identical to the nested-loops
+/// flavour in both cases: matches in ascending inner order, outer-major.
+/// Counts one kernel.hash_joins (plus the table's build collisions) or one
+/// kernel.nested_joins per call.
+Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
+                 const JoinScratch& scratch, const Page& inner,
+                 const JoinTable* table, PageSink* out,
+                 KernelStats* stats = nullptr);
+
+/// \brief Build-then-probe over one page pair (tests and benchmarks; the
+/// backends build each inner table once). Hashes when \p pred carries
+/// equi-keys and \p scratch is given, else runs nested loops.
 Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
                  const Page& inner, JoinScratch* scratch, PageSink* out,
                  KernelStats* stats = nullptr);

@@ -125,11 +125,23 @@ Status NodeProgram::Consume(int slot, const Page& page, PageSink* sink,
   }
 }
 
-Status NodeProgram::Join(const Page& outer, const Page& inner,
-                         JoinScratch* scratch, PageSink* sink,
-                         KernelStats* stats) const {
+std::unique_ptr<JoinTable> NodeProgram::BuildInnerTable(
+    const Page& inner) const {
+  if (!join_.has_value() || !join_->hash_eligible()) return nullptr;
+  auto table = std::make_unique<JoinTable>();
+  BuildJoinTable(*join_, inner, table.get());
+  return table;
+}
+
+void NodeProgram::HashOuter(const Page& outer, JoinScratch* scratch) const {
+  if (join_.has_value()) HashOuterKeys(*join_, outer, scratch);
+}
+
+Status NodeProgram::Join(const Page& outer, const JoinScratch& scratch,
+                         const Page& inner, const JoinTable* table,
+                         PageSink* sink, KernelStats* stats) const {
   if (join_.has_value()) {
-    return JoinPages(*join_, outer, inner, scratch, sink, stats);
+    return ProbeJoin(*join_, outer, scratch, inner, table, sink, stats);
   }
   stats->interpreted_pages.fetch_add(1, std::memory_order_relaxed);
   stats->nested_joins.fetch_add(1, std::memory_order_relaxed);

@@ -72,10 +72,20 @@ class NodeProgram {
   Status Consume(int slot, const Page& page, PageSink* sink,
                  KernelStats* stats, int partition = kAllPartitions);
 
-  /// Joins one outer page with one inner page (kJoin). \p scratch is the
-  /// caller's reusable hash table.
-  Status Join(const Page& outer, const Page& inner, JoinScratch* scratch,
-              PageSink* sink, KernelStats* stats) const;
+  /// The hash table of one inner page (kJoin), built once when the page
+  /// reaches the join and probed by every outer page after. Null when the
+  /// join runs nested loops: no equi-keys, or an interpreted predicate.
+  std::unique_ptr<JoinTable> BuildInnerTable(const Page& inner) const;
+
+  /// Hashes \p outer's join keys into \p scratch for Join(), once per
+  /// outer page however many inner pages it meets.
+  void HashOuter(const Page& outer, JoinScratch* scratch) const;
+
+  /// Joins one outer page with one inner page (kJoin). \p table is the
+  /// inner page's BuildInnerTable() and \p scratch holds HashOuter(outer).
+  Status Join(const Page& outer, const JoinScratch& scratch, const Page& inner,
+              const JoinTable* table, PageSink* sink,
+              KernelStats* stats) const;
 
   /// After the last input page: an aggregate emits its groups, once. A
   /// no-op for every other op, and on a second call.

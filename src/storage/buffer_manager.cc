@@ -52,67 +52,56 @@ StatusOr<PagePtr> BufferManager::Fetch(PageId id) {
 }
 
 Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
-                                   PageSink* sink,
-                                   PushdownCounters* counters) {
+                                   TupleRun* run, PushdownCounters* counters) {
   auto page = store_->Get(id);
   if (!page.ok()) return page.status();
   const int bytes = (*page)->payload_bytes();
-  const int width = (*page)->tuple_width();
   const int n = (*page)->num_tuples();
 
   // Run the compiled program against the raw page before touching residency
   // state: the scan happens inside the device, outside the manager's lock.
-  std::vector<int> survivors;
-  survivors.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (filter.Matches((*page)->tuple(i).data())) survivors.push_back(i);
-  }
+  const size_t before = run->num_tuples();
+  DFDB_RETURN_IF_ERROR(filter.Filter(**page, run));
+  const uint64_t survivors = run->num_tuples() - before;
   const uint64_t surviving_bytes =
-      static_cast<uint64_t>(survivors.size()) * static_cast<uint64_t>(width);
+      survivors * static_cast<uint64_t>((*page)->tuple_width());
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it != entries_.end() && it->second.level == Level::kLocal) {
-      // Already in local memory: nothing to elide, the filter just saves
-      // the consumer a pass. Refresh LRU like a plain fetch.
-      stats_.local_hits++;
-      local_lru_.erase(it->second.lru_it);
-      local_lru_.push_front(id);
-      it->second.lru_it = local_lru_.begin();
-    } else if (it != entries_.end() && it->second.level == Level::kCache) {
-      // Filter at the cache: only survivors occupy the port. The raw page
-      // stays cache-resident — survivors, not the page, move up.
-      stats_.cache_reads++;
-      stats_.cache_read_bytes += surviving_bytes;
-      cache_lru_.erase(it->second.lru_it);
-      cache_lru_.push_front(id);
-      it->second.lru_it = cache_lru_.begin();
-      if (counters != nullptr) {
-        counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
-      }
-    } else {
-      // Absent: the drive cannot filter, so the raw page streams into the
-      // cache in full and the program runs there.
-      stats_.disk_reads++;
-      stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
-      stats_.cache_reads++;
-      stats_.cache_read_bytes += surviving_bytes;
-      InsertCacheLocked(id, bytes);
-      if (counters != nullptr) {
-        counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
-      }
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(id);
+  if (it != entries_.end() && it->second.level == Level::kLocal) {
+    // Already in local memory: nothing to elide, the filter just saves
+    // the consumer a pass. Refresh LRU like a plain fetch.
+    stats_.local_hits++;
+    local_lru_.erase(it->second.lru_it);
+    local_lru_.push_front(id);
+    it->second.lru_it = local_lru_.begin();
+  } else if (it != entries_.end() && it->second.level == Level::kCache) {
+    // Filter at the cache: only survivors occupy the port. The raw page
+    // stays cache-resident — survivors, not the page, move up.
+    stats_.cache_reads++;
+    stats_.cache_read_bytes += surviving_bytes;
+    cache_lru_.erase(it->second.lru_it);
+    cache_lru_.push_front(id);
+    it->second.lru_it = cache_lru_.begin();
     if (counters != nullptr) {
-      counters->pages_filtered++;
-      counters->tuples_in += static_cast<uint64_t>(n);
-      counters->tuples_out += static_cast<uint64_t>(survivors.size());
+      counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
+    }
+  } else {
+    // Absent: the drive cannot filter, so the raw page streams into the
+    // cache in full and the program runs there.
+    stats_.disk_reads++;
+    stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
+    stats_.cache_reads++;
+    stats_.cache_read_bytes += surviving_bytes;
+    InsertCacheLocked(id, bytes);
+    if (counters != nullptr) {
+      counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
     }
   }
-
-  for (int i : survivors) {
-    Status s = sink->Emit((*page)->tuple(i));
-    if (!s.ok()) return s;
+  if (counters != nullptr) {
+    counters->pages_filtered++;
+    counters->tuples_in += static_cast<uint64_t>(n);
+    counters->tuples_out += survivors;
   }
   return Status::OK();
 }

@@ -69,6 +69,22 @@ Status Page::AppendParts(const Slice* parts, size_t n) {
   return Status::OK();
 }
 
+Status Page::AppendRun(Slice tuples) {
+  const size_t width = static_cast<size_t>(tuple_width_);
+  if (tuples.size() % width != 0) {
+    return Status::InvalidArgument(
+        StrFormat("run of %zu bytes is not a whole number of %d-byte tuples",
+                  tuples.size(), tuple_width_));
+  }
+  const int n = static_cast<int>(tuples.size() / width);
+  if (n > capacity_tuples() - num_tuples_) {
+    return Status::ResourceExhausted("page is full");
+  }
+  data_.insert(data_.end(), tuples.data(), tuples.data() + tuples.size());
+  num_tuples_ += n;
+  return Status::OK();
+}
+
 std::string Page::Serialize() const {
   std::string out;
   out.reserve(kHeaderBytes + data_.size());

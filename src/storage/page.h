@@ -61,6 +61,11 @@ class Page {
   /// intermediate tuple buffer.
   Status AppendParts(const Slice* parts, size_t n);
 
+  /// Appends the tuples packed back to back in \p tuples (a whole number of
+  /// tuple_width() records) with one copy. ResourceExhausted when they do
+  /// not all fit.
+  Status AppendRun(Slice tuples);
+
   /// Borrowed view of tuple \p i; valid while the page is alive.
   Slice tuple(int i) const {
     return Slice(data_.data() + static_cast<size_t>(i) * tuple_width_,

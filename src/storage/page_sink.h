@@ -29,6 +29,39 @@ class PageSink {
   virtual Status EmitParts(const Slice* parts, size_t n) = 0;
 };
 
+/// \brief The tuples one worker emits during one kernel call, appended to a
+/// buffer the worker owns. Emitting takes no lock: PagePacker::EmitRun
+/// packs the whole run under the packer's lock once, so a kernel pays for
+/// the shared packer once per call instead of once per tuple.
+class TupleRun final : public PageSink {
+ public:
+  explicit TupleRun(int tuple_width = 1) : tuple_width_(tuple_width) {}
+
+  /// Empties the run for tuples of \p tuple_width bytes; the buffer keeps
+  /// its capacity.
+  void Reset(int tuple_width) {
+    tuple_width_ = tuple_width;
+    bytes_.clear();
+  }
+  void Clear() { bytes_.clear(); }
+
+  /// InvalidArgument unless the tuple is tuple_width() bytes.
+  Status Emit(Slice tuple) override { return EmitParts(&tuple, 1); }
+  Status EmitParts(const Slice* parts, size_t n) override;
+
+  int tuple_width() const { return tuple_width_; }
+  size_t num_tuples() const {
+    return bytes_.size() / static_cast<size_t>(tuple_width_);
+  }
+  bool empty() const { return bytes_.empty(); }
+  /// The tuples, packed back to back.
+  Slice bytes() const { return Slice(bytes_); }
+
+ private:
+  int tuple_width_;
+  std::string bytes_;
+};
+
 /// \brief The compressor of Section 4.2: "As pages (which may not be full)
 /// arrive, they are compressed to form full pages."
 ///
@@ -36,7 +69,8 @@ class PageSink {
 /// to a callback, outside the packer's lock. Every page the system
 /// compresses goes through one: engine node outputs, pushdown survivors,
 /// the simulator's IP result buffers and IC operand repacks, and the
-/// reference executor's intermediates.
+/// reference executor's intermediates. One page is open at a time and
+/// pages seal in emit order, whether tuples arrive one by one or as runs.
 ///
 /// Thread-safe: parallel tasks of one instruction may emit concurrently.
 class PagePacker final : public PageSink {
@@ -59,6 +93,12 @@ class PagePacker final : public PageSink {
   Status Emit(Slice tuple) override { return EmitParts(&tuple, 1); }
   Status EmitParts(const Slice* parts, size_t n) override;
 
+  /// Packs every tuple of \p run, in order, under one lock: one copy per
+  /// unit-sized chunk. It seals exactly the pages emitting the tuples one by
+  /// one would, and the run's tuples stay contiguous among concurrent
+  /// emitters. InvalidArgument when its tuple width differs.
+  Status EmitRun(const TupleRun& run);
+
   /// Adds a whole page. A full page of exactly the unit passes through
   /// unchanged when no page is open (base pages stay intact under page
   /// granularity); any other page is packed tuple by tuple.
@@ -79,8 +119,11 @@ class PagePacker final : public PageSink {
   }
 
  private:
-  /// Detaches the open page for sealing; null when none holds a tuple.
-  PagePtr TakeOpenLocked();
+  /// Opens an empty page of the unit unless one is open.
+  Status OpenLocked();
+  /// Detaches the open page for sealing, which happens outside the lock;
+  /// null when none holds a tuple.
+  std::unique_ptr<Page> TakeOpenLocked();
 
   const RelationId relation_;
   const int tuple_width_;

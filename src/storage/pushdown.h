@@ -6,25 +6,31 @@
 /// arbitration network (Section 3.3). `PushdownFilter` lets the storage
 /// hierarchy run a compiled restrict during the cache -> local transfer
 /// without the storage layer depending on the expression subsystem: the
-/// engine adapts a `CompiledPredicate` behind it, and
-/// `BufferManager::ReadFiltered` emits only surviving tuples into the scan's
-/// output `PageSink`.
+/// engine adapts the compiled restrict page kernel behind it, and
+/// `BufferManager::ReadFiltered` filters a whole page into the caller's
+/// `TupleRun`, which the scan then packs into its output pages.
 
 #ifndef DFDB_STORAGE_PUSHDOWN_H_
 #define DFDB_STORAGE_PUSHDOWN_H_
 
+#include "common/status.h"
+#include "storage/page.h"
+#include "storage/page_sink.h"
+
 namespace dfdb {
 
-/// \brief A predicate evaluated against raw tuple bytes at a storage level.
+/// \brief A predicate evaluated against a raw page at a storage level.
 ///
 /// Implementations must be infallible per tuple (the engine guarantees this
 /// by only pushing down `CompiledPredicate` programs, whose per-tuple error
-/// paths are rejected at compile time) and thread-compatible: `Matches` is
+/// paths are rejected at compile time) and thread-compatible: `Filter` is
 /// called concurrently for distinct pages but never mutates shared state.
 class PushdownFilter {
  public:
   virtual ~PushdownFilter() = default;
-  virtual bool Matches(const char* tuple) const = 0;
+  /// Appends the tuples of \p page that satisfy the predicate to \p run,
+  /// in page order.
+  virtual Status Filter(const Page& page, TupleRun* run) const = 0;
 };
 
 }  // namespace dfdb

@@ -211,6 +211,11 @@ TEST(ExprCompileFuzz, RestrictAndCountMatchInterpreter) {
 
 TEST(ExprCompileFuzz, JoinMatchesInterpreterIncludingOrder) {
   Random rng(11);
+  // Two more outer pages per round come from their own generator, so the
+  // rounds' schemas, pages and predicates stay those of `rng` alone.
+  Random more_outers(12);
+  // One scratch serves every probe of the test, as a worker's does.
+  JoinScratch probe_scratch;
   int hash_joins = 0;
   int nested_joins = 0;
   for (int iter = 0; iter < 200; ++iter) {
@@ -263,6 +268,32 @@ TEST(ExprCompileFuzz, JoinMatchesInterpreterIncludingOrder) {
       ++nested_joins;
       EXPECT_EQ(stats.nested_joins.load(), 1u);
     }
+
+    // The backends' path: the inner page's table is built once and probed
+    // by three outer pages, each hashed once into the reused scratch.
+    const bool hashed = compiled->hash_eligible();
+    JoinTable table;
+    if (hashed) BuildJoinTable(*compiled, *inner_page, &table);
+    const PagePtr outers[3] = {outer_page,
+                               RandomPage(outer, &more_outers, 24),
+                               RandomPage(outer, &more_outers, 24)};
+    KernelStats probe_stats;
+    for (int o = 0; o < 3; ++o) {
+      VectorSink nested, probed;
+      ASSERT_OK(JoinPages(outer, inner, *pred, *outers[o], *inner_page,
+                          &nested));
+      HashOuterKeys(*compiled, *outers[o], &probe_scratch);
+      ASSERT_OK(ProbeJoin(*compiled, *outers[o], probe_scratch, *inner_page,
+                          hashed ? &table : nullptr, &probed, &probe_stats));
+      EXPECT_EQ(nested.tuples(), probed.tuples())
+          << "outer page " << o << " pred=" << pred->ToString();
+    }
+    EXPECT_EQ(probe_stats.hash_joins.load(), hashed ? 3u : 0u);
+    EXPECT_EQ(probe_stats.nested_joins.load(), hashed ? 0u : 3u);
+    // Build collisions count at every probe, as they did when each page
+    // pair built its own table.
+    EXPECT_EQ(probe_stats.hash_build_collisions.load(),
+              hashed ? 3 * table.collisions : 0u);
   }
   EXPECT_GT(hash_joins, 50);
   EXPECT_GT(nested_joins, 10);

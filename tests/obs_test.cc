@@ -121,9 +121,10 @@ TEST(CounterNamesTest, ExportedKeyListsAreStable) {
       "engine.pipeline.pages_elided", "engine.pipeline.runtime_fallbacks",
       "engine.pushdown.bytes_elided", "engine.pushdown.fallbacks",
       "engine.pushdown.pages_filtered", "engine.pushdown.tuples_in",
-      "engine.pushdown.tuples_out", "engine.sched.admitted",
-      "engine.sched.queue_wait_ns", "engine.sched.queued",
-      "engine.sched.requeues", "engine.sched.skips", "engine.tasks_executed",
+      "engine.pushdown.tuples_out", "engine.scan_throttle_yields",
+      "engine.sched.admitted", "engine.sched.queue_wait_ns",
+      "engine.sched.queued", "engine.sched.requeues", "engine.sched.skips",
+      "engine.tasks_executed",
       "engine.tuples_produced", "storage.cache_hits",
       "storage.cache_read_bytes", "storage.cache_reads",
       "storage.cache_write_bytes", "storage.cache_writes",

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -298,6 +299,168 @@ TEST_F(PagePackerTest, EmitPageSealsWhatTupleByTuplePackingSeals) {
     }
   }
   EXPECT_GT(passed_through, 0);  // The shortcut itself was exercised.
+}
+
+TEST_F(PagePackerTest, EmitRunSealsWhatEmitSeals) {
+  // A kernel's run must seal exactly the pages its tuples would seal one by
+  // one: runs spanning several units, runs landing on a part-filled open
+  // page, and single tuples in between.
+  Random rng(19);
+  for (int round = 0; round < 300; ++round) {
+    const int width = 1 + static_cast<int>(rng.Uniform(24));
+    const int spare =
+        static_cast<int>(rng.Uniform(static_cast<uint64_t>(width)));
+    const int per_unit = 1 + static_cast<int>(rng.Uniform(8));
+    const int unit = width * per_unit + spare;
+    std::vector<PagePtr> by_run, by_tuple;
+    PagePacker a(1, width, unit, [&](PagePtr s) { by_run.push_back(s); });
+    PagePacker b(1, width, unit, [&](PagePtr s) { by_tuple.push_back(s); });
+    std::string tuple(static_cast<size_t>(width), '\0');
+    TupleRun run(width);
+    for (int step = 0; step < 6; ++step) {
+      // Alternate single tuples (leaving the open page part-filled) with
+      // runs of up to three units.
+      const bool single = rng.Bernoulli(0.3);
+      const int n = single ? 1
+                           : static_cast<int>(rng.Uniform(
+                                 static_cast<uint64_t>(3 * per_unit + 2)));
+      run.Reset(width);
+      for (int i = 0; i < n; ++i) {
+        for (char& c : tuple) c = static_cast<char>(rng.Uniform(256));
+        ASSERT_OK(run.Emit(Slice(tuple)));
+        ASSERT_OK(b.Emit(Slice(tuple)));
+      }
+      ASSERT_EQ(run.num_tuples(), static_cast<size_t>(n));
+      if (single) {
+        ASSERT_OK(a.Emit(run.bytes()));
+      } else {
+        ASSERT_OK(a.EmitRun(run));
+      }
+      ASSERT_EQ(by_run.size(), by_tuple.size())
+          << "round " << round << " step " << step;
+    }
+    EXPECT_EQ(a.tuples_emitted(), b.tuples_emitted());
+    ASSERT_OK(a.Close());
+    ASSERT_OK(b.Close());
+    ASSERT_EQ(by_run.size(), by_tuple.size()) << "round " << round;
+    for (size_t i = 0; i < by_run.size(); ++i) {
+      EXPECT_EQ(by_run[i]->Serialize(), by_tuple[i]->Serialize())
+          << "round " << round << " page " << i;
+    }
+  }
+}
+
+TEST_F(PagePackerTest, ConcurrentRunsStayContiguous) {
+  // Four producers emit runs through one packer, as a node's tasks do. Each
+  // tuple is (producer, run, position); every one must be sealed once, each
+  // run's tuples must stay back to back, and every page but the last must
+  // be full.
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 300;
+  constexpr int kWidth = 12;
+  constexpr int kPerPage = 7;
+  std::mutex mu;
+  std::vector<PagePtr> pages;
+  PagePacker packer(1, kWidth, kWidth * kPerPage + 5, [&](PagePtr page) {
+    std::lock_guard<std::mutex> lock(mu);
+    pages.push_back(std::move(page));
+  });
+  std::vector<std::vector<int>> lengths(kThreads);
+  Random rng(20);
+  for (auto& l : lengths) {
+    for (int r = 0; r < kRuns; ++r) {
+      l.push_back(1 + static_cast<int>(rng.Uniform(3 * kPerPage)));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&packer, &lengths, t] {
+      const std::vector<int>& mine = lengths[static_cast<size_t>(t)];
+      TupleRun run(kWidth);
+      for (int r = 0; r < kRuns; ++r) {
+        run.Reset(kWidth);
+        for (int p = 0; p < mine[static_cast<size_t>(r)]; ++p) {
+          const int32_t f[3] = {t, r, p};
+          ASSERT_TRUE(run.Emit(Slice(reinterpret_cast<const char*>(f),
+                                     sizeof(f)))
+                          .ok());
+        }
+        ASSERT_TRUE(packer.EmitRun(run).ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(packer.Close().ok());
+
+  size_t total = 0;
+  for (const auto& l : lengths) {
+    for (int n : l) total += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(pages.size(), (total + kPerPage - 1) / kPerPage);
+  // A run's stretch within one page.
+  struct Segment {
+    int page_size, start, end, first_pos, last_pos;
+  };
+  std::map<std::pair<int, int>, std::vector<Segment>> runs;
+  size_t seen = 0;
+  int partial_pages = 0;
+  for (const PagePtr& page : pages) {
+    if (!page->full()) ++partial_pages;
+    std::pair<int, int> open_key{-1, -1};
+    for (int i = 0; i < page->num_tuples(); ++i) {
+      int32_t f[3];
+      std::memcpy(f, page->tuple(i).data(), sizeof(f));
+      const std::pair<int, int> key{f[0], f[1]};
+      ++seen;
+      if (key == open_key) {
+        Segment& seg = runs[key].back();
+        ASSERT_EQ(f[2], seg.last_pos + 1) << "run out of order in a page";
+        seg.end = i;
+        seg.last_pos = f[2];
+        continue;
+      }
+      open_key = key;
+      runs[key].push_back(Segment{page->num_tuples(), i, i, f[2], f[2]});
+    }
+  }
+  EXPECT_EQ(seen, total);
+  EXPECT_LE(partial_pages, 1);
+  ASSERT_EQ(runs.size(), static_cast<size_t>(kThreads * kRuns));
+  for (auto& [key, segs] : runs) {
+    std::sort(segs.begin(), segs.end(), [](const Segment& x, const Segment& y) {
+      return x.first_pos < y.first_pos;
+    });
+    EXPECT_EQ(segs.front().first_pos, 0);
+    EXPECT_EQ(segs.back().last_pos,
+              lengths[static_cast<size_t>(key.first)]
+                     [static_cast<size_t>(key.second)] - 1);
+    for (size_t i = 0; i < segs.size(); ++i) {
+      // A run crossing pages ends one page and starts the next.
+      if (i > 0) {
+        EXPECT_EQ(segs[i].first_pos, segs[i - 1].last_pos + 1);
+        EXPECT_EQ(segs[i].start, 0);
+      }
+      if (i + 1 < segs.size()) {
+        EXPECT_EQ(segs[i].end, segs[i].page_size - 1);
+      }
+    }
+  }
+  EXPECT_EQ(packer.tuples_emitted(), total);
+}
+
+TEST_F(PagePackerTest, EmitRunRejectsClosedPackerAndWrongWidth) {
+  TupleRun run(10);
+  ASSERT_OK(run.Emit(Slice("0123456789")));
+  EXPECT_TRUE(run.Emit(Slice("short")).IsInvalidArgument());
+  EXPECT_EQ(run.num_tuples(), 1u);
+
+  auto narrow = MakePacker(5, 30);
+  EXPECT_TRUE(narrow->EmitRun(run).IsInvalidArgument());
+
+  auto packer = MakePacker(10, 30);
+  ASSERT_OK(packer->Close());
+  EXPECT_TRUE(packer->EmitRun(run).IsFailedPrecondition());
+  EXPECT_TRUE(pages_.empty());
 }
 
 TEST(TupleTest, EncodeValidation) {

@@ -14,8 +14,16 @@ if(NOT configure_result EQUAL 0)
   message(FATAL_ERROR "tsan configure failed")
 endif()
 
+# A bare -j would let the Makefiles generator start every compile at once;
+# one job per logical core bounds the build's memory the way CI's
+# -j "$(nproc)" does.
+cmake_host_system_information(RESULT jobs QUERY NUMBER_OF_LOGICAL_CORES)
+if(NOT jobs GREATER 0)
+  set(jobs 1)
+endif()
 execute_process(
-  COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR} --target ${TEST_TARGET} -j
+  COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR} --target ${TEST_TARGET}
+          -j ${jobs}
   RESULT_VARIABLE build_result)
 if(NOT build_result EQUAL 0)
   message(FATAL_ERROR "tsan build failed")

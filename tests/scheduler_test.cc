@@ -389,7 +389,9 @@ TEST_F(SchedulerTest, QueueWaitIsMeasuredForQueuedQueries) {
 TEST_F(SchedulerTest, ThrottledScanStepsAreNotCountedAsTasks) {
   // A scan step that finds every memory cell occupied re-dispatches itself
   // and yields without reading a page. Only the steps that ran count as
-  // executed tasks, so the count does not depend on the number of cells.
+  // executed tasks, so the count does not depend on the number of cells;
+  // the yields are counted apart, and at one worker they follow the queue
+  // order alone, so two runs count the same.
   StorageEngine storage(/*default_page_bytes=*/1000);
   ASSERT_OK_AND_ASSIGN(auto l, GenerateRelation(&storage, "left", 400, 3));
   ASSERT_OK_AND_ASSIGN(auto r, GenerateRelation(&storage, "right", 200, 4));
@@ -397,9 +399,10 @@ TEST_F(SchedulerTest, ThrottledScanStepsAreNotCountedAsTasks) {
   (void)r;
   auto plan = MakeUnion(MakeScan("left"), MakeScan("right"),
                         /*bag_semantics=*/true);
-  uint64_t tasks[2] = {0, 0};
-  const int cells[2] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
+  const int cells[3] = {1, 1, 8};
+  uint64_t tasks[3] = {0, 0, 0};
+  uint64_t yields[3] = {0, 0, 0};
+  for (int i = 0; i < 3; ++i) {
     ExecOptions opts = Options(1);
     opts.memory_cells_per_processor = cells[i];
     Scheduler scheduler(&storage, opts);
@@ -408,9 +411,14 @@ TEST_F(SchedulerTest, ThrottledScanStepsAreNotCountedAsTasks) {
     scheduler.Shutdown();
     EXPECT_EQ(result.num_tuples(), 600u);
     tasks[i] = result.stats().tasks_executed;
+    yields[i] = result.stats().scan_throttle_yields;
   }
-  EXPECT_GT(tasks[1], 0u);
+  EXPECT_GT(tasks[0], 0u);
   EXPECT_EQ(tasks[0], tasks[1]);
+  EXPECT_EQ(tasks[0], tasks[2]);
+  EXPECT_GT(yields[0], 0u);
+  EXPECT_EQ(yields[0], yields[1]);
+  EXPECT_GT(yields[0], yields[2]);
 }
 
 }  // namespace

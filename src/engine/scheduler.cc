@@ -68,9 +68,6 @@ struct NodeState {
   const PlanNode* node = nullptr;
   NodeState* parent = nullptr;  // Null for the root.
   int parent_slot = 0;
-  /// The node's consumer in the plan: parent->node, unless a fused chain
-  /// was absorbed in between (null for the root). A scan opens against it.
-  const PlanNode* plan_consumer = nullptr;
   /// Packs this node's output into unit pages for the consumer (or the
   /// query result, at the root).
   std::optional<PagePacker> out;
@@ -85,36 +82,28 @@ struct NodeState {
   /// by the buffer hierarchy during the cache -> local transfer so only
   /// survivors ride the edge. Empty = raw path.
   std::optional<CompiledPredicate> pushdown_pred;
-  /// Pipeline fusion (unary-chain collapse): the steps of every absorbed
-  /// fused producer below this node plus this node's own operation, run as
-  /// one pass per input page. The absorbed nodes have no NodeState — their
-  /// input wires directly to this node.
-  std::optional<FusedPipeline> fused;
-  int fused_chain_len = 0;  ///< Absorbed producers (elision accounting).
+  /// Relation granularity: no operand task runs before every input has
+  /// closed (Section 3.1). False for leaves and under page granularity.
+  bool relation_barrier = false;
 
   std::mutex mu;
   std::vector<bool> input_closed;
+  /// Tasks queued or running, in all and per input slot (a leaf counts its
+  /// driver in `pending`).
   std::vector<uint64_t> pending_slot;
   uint64_t pending = 0;
-  /// Relation-granularity operand buffers (per slot).
-  std::vector<std::vector<PendingPage>> buffered;
-  /// True once tasks may be generated (always true outside kRelation).
-  bool launched = true;
+  /// Per input slot, in arrival order: the operand pages that reached the
+  /// node before their slot may run (SlotMayRunLocked).
+  std::vector<std::vector<PendingPage>> held;
   bool finalize_claimed = false;
   /// Leaves (scan/delete): set when the driver finished.
   bool source_done = false;
 
   // kJoin. Inner pages and their tables live until finalize, in a deque so
   // outer tasks can hold pointers to entries outside the lock while later
-  // pages are appended.
+  // pages are appended. Parked outer tasks wait for more inner pages.
   std::deque<InnerPage> inner_pages;
   std::vector<OuterWork> parked;
-  uint64_t outer_seen = 0;
-  uint64_t outer_done = 0;
-
-  // kDifference: left pages wait until the right side is done.
-  bool left_released = false;
-  std::vector<PendingPage> left_buffer;
 
   // --- producer-side events (called by the child's packer wiring) ---
   void OnPage(int slot, PendingPage p);
@@ -142,14 +131,30 @@ struct NodeState {
   Status EmitRun(TupleRun* run);
 
   // --- scheduling helpers ---
-  void DispatchStream(int slot, PendingPage p);
-  void LaunchRelationReplayLocked(std::vector<std::function<void()>>* tasks);
-  void ReleaseDifferenceLeftIfReady();
+  /// True when pages of input \p slot may run now: under relation
+  /// granularity once every input has closed, and for a difference's left
+  /// slot once the right slot has closed, holds nothing and has no task
+  /// pending (set difference is a barrier on its subtrahend). Stays true
+  /// once true.
+  bool SlotMayRunLocked(int slot) const;
+  void ClaimLocked(int slot, uint64_t n) {
+    pending += n;
+    pending_slot[static_cast<size_t>(slot)] += n;
+  }
+  void RetireLocked(int slot) {
+    --pending;
+    --pending_slot[static_cast<size_t>(slot)];
+  }
+  /// Claims and moves out the held pages of every slot that may now run,
+  /// in slot order. Called under `mu` wherever an input closes or a unary
+  /// task retires, so no page stays held once its slot may run.
+  std::vector<std::pair<int, PendingPage>> TakeRunnableLocked();
+  /// Enqueues the task of one claimed operand page.
+  void Dispatch(int slot, PendingPage p);
+  /// Re-enqueues claimed outer tasks that were parked.
+  void Resume(std::vector<OuterWork> wake);
   void TryFinalize();
   void RunFinalizeAndClose();
-  bool RightSideDoneLocked() const {
-    return input_closed[1] && pending_slot[1] == 0 && launched;
-  }
 };
 
 /// \brief Shared completion state between a QueryHandle and the scheduler.
@@ -348,23 +353,13 @@ class SchedulerImpl {
  private:
   StatusOr<std::unique_ptr<QueryRuntime>> Prepare(const PlanNode& plan,
                                                   size_t batch_index);
-  /// \p plan_parent is the node's consumer in the *plan* (distinct from the
-  /// runtime \p parent when a fused chain was absorbed in between); it is
-  /// what the per-edge pipeline decision and a scan's pushdown are
-  /// evaluated against.
   NodeState* BuildNode(const PlanNode* n, NodeState* parent, int slot,
-                       QueryRuntime* q, const PlanNode* plan_parent);
+                       QueryRuntime* q);
   /// True when the plan marks the edge \p producer -> \p consumer fused and
-  /// the safety conditions hold. With \p count_fallback set, a marked edge
-  /// the safety conditions reject is recorded as a runtime fallback (the
-  /// absorption chain walk passes false; the edge is classified — and
-  /// counted — once, when its producer node is built).
+  /// the safety conditions hold. A marked edge the safety conditions reject
+  /// is recorded as a runtime fallback.
   bool EdgeFused(const PlanNode& producer, const PlanNode& consumer,
-                 QueryRuntime* q, bool count_fallback = true);
-  /// Compiles the absorbed producer chain (nearest-first) plus \p ns's own
-  /// operation into ns->fused.
-  Status BuildFusedChain(NodeState* ns,
-                         const std::vector<const PlanNode*>& chain);
+                 QueryRuntime* q);
   /// Enqueues every source-driver task of \p q as one atomic batch. The
   /// caller must hold an `in_flight` reference on \p q (see MaybeReap).
   void LaunchQuery(QueryRuntime* q);
@@ -516,58 +511,63 @@ void NodeState::OnPage(int slot, PendingPage p) {
   }
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (!launched) {
-      // Relation granularity: the instruction is not yet enabled; operands
-      // accumulate until every input relation is complete (Section 3.1).
-      buffered[static_cast<size_t>(slot)].push_back(std::move(p));
+    if (!SlotMayRunLocked(slot)) {
+      // The instruction is not yet enabled for this operand.
+      held[static_cast<size_t>(slot)].push_back(std::move(p));
       return;
     }
+    ClaimLocked(slot, 1);
   }
-  DispatchStream(slot, std::move(p));
+  Dispatch(slot, std::move(p));
 }
 
-void NodeState::DispatchStream(int slot, PendingPage p) {
+bool NodeState::SlotMayRunLocked(int slot) const {
+  if (relation_barrier) {
+    for (bool c : input_closed) {
+      if (!c) return false;
+    }
+  }
+  if (node->op == PlanOp::kDifference && slot == 0) {
+    return input_closed[1] && held[1].empty() && pending_slot[1] == 0;
+  }
+  return true;
+}
+
+std::vector<std::pair<int, PendingPage>> NodeState::TakeRunnableLocked() {
+  std::vector<std::pair<int, PendingPage>> release;
+  for (int slot = 0; slot < num_inputs; ++slot) {
+    std::vector<PendingPage>& waiting = held[static_cast<size_t>(slot)];
+    if (waiting.empty() || !SlotMayRunLocked(slot)) continue;
+    ClaimLocked(slot, waiting.size());
+    for (PendingPage& p : waiting) release.emplace_back(slot, std::move(p));
+    waiting.clear();
+  }
+  return release;
+}
+
+void NodeState::Dispatch(int slot, PendingPage p) {
   impl->RecordTrace(obs::TraceEventKind::kPacketEnqueued, query, node->id,
                     slot,
                     static_cast<uint64_t>(p.page->payload_bytes()), nullptr);
-  if (node->op == PlanOp::kJoin && slot == 0) {
+  if (node->op == PlanOp::kJoin) {
     OuterWork w;
     w.outer = std::move(p);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++outer_seen;
-      ++pending;
-      ++pending_slot[0];
-    }
     impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
       RunJoinOuter(std::move(w));
     });
     return;
   }
-  if (node->op == PlanOp::kDifference && slot == 0) {
-    // Left pages must wait for the right side to finish (set difference is
-    // a barrier on its subtrahend).
-    std::lock_guard<std::mutex> lock(mu);
-    if (!RightSideDoneLocked() || !left_released) {
-      left_buffer.push_back(std::move(p));
-      return;
-    }
-    ++pending;
-    ++pending_slot[0];
-    PendingPage moved = std::move(p);
-    impl->DispatchPacket(
-        query, [this, moved]() mutable { RunUnaryTask(0, std::move(moved)); });
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ++pending;
-    ++pending_slot[static_cast<size_t>(slot)];
-  }
-  PendingPage moved = std::move(p);
-  impl->DispatchPacket(query, [this, slot, moved]() mutable {
-    RunUnaryTask(slot, std::move(moved));
+  impl->DispatchPacket(query, [this, slot, p = std::move(p)]() mutable {
+    RunUnaryTask(slot, std::move(p));
   });
+}
+
+void NodeState::Resume(std::vector<OuterWork> wake) {
+  for (OuterWork& w : wake) {
+    impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
+      RunJoinOuter(std::move(w));
+    });
+  }
 }
 
 void NodeState::AddInnerPage(PendingPage p) {
@@ -576,128 +576,36 @@ void NodeState::AddInnerPage(PendingPage p) {
   if (program != nullptr && !query->failed.load(std::memory_order_relaxed)) {
     table = program->BuildInnerTable(*p.page);
   }
-  const auto bytes = static_cast<uint64_t>(p.page->payload_bytes());
-  std::vector<OuterWork> wake;
-  bool enabled;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    // Under relation granularity no outer task runs before the launch, so
-    // the page can wait here instead of in `buffered`.
-    inner_pages.push_back(InnerPage{std::move(p), std::move(table)});
-    enabled = launched;
-    if (enabled) {
-      wake.swap(parked);
-      pending += wake.size();
-    }
-  }
-  if (!enabled) return;
   impl->RecordTrace(obs::TraceEventKind::kPacketEnqueued, query, node->id, 1,
-                    bytes, nullptr);
-  for (auto& w : wake) {
-    impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
-      RunJoinOuter(std::move(w));
-    });
+                    static_cast<uint64_t>(p.page->payload_bytes()), nullptr);
+  std::vector<OuterWork> wake;
+  {
+    // Inner pages never wait in `held`: an outer task that has not run yet
+    // meets every inner page that arrived before it.
+    std::lock_guard<std::mutex> lock(mu);
+    inner_pages.push_back(InnerPage{std::move(p), std::move(table)});
+    wake.swap(parked);
+    ClaimLocked(0, wake.size());
   }
+  Resume(std::move(wake));
 }
 
 void NodeState::OnClose(int slot) {
-  bool replay = false;
-  std::vector<std::function<void()>> replay_tasks;
   std::vector<OuterWork> wake;
+  std::vector<std::pair<int, PendingPage>> release;
   {
     std::lock_guard<std::mutex> lock(mu);
     input_closed[static_cast<size_t>(slot)] = true;
-    if (!launched) {
-      bool all = true;
-      for (bool c : input_closed) all = all && c;
-      if (all) {
-        launched = true;
-        replay = true;
-        LaunchRelationReplayLocked(&replay_tasks);
-      }
-    } else if (node->op == PlanOp::kJoin && slot == 1) {
+    if (node->op == PlanOp::kJoin && slot == 1) {
       // Inner relation complete: parked outers can now finish.
       wake.swap(parked);
-      pending += wake.size();
+      ClaimLocked(0, wake.size());
     }
+    release = TakeRunnableLocked();
   }
-  if (replay) {
-    for (auto& t : replay_tasks) impl->DispatchPacket(query, std::move(t));
-  }
-  for (auto& w : wake) {
-    impl->DispatchPacket(query, [this, w = std::move(w)]() mutable {
-      RunJoinOuter(std::move(w));
-    });
-  }
-  // The right side may be done now: at its own close, or, under relation
-  // granularity, at the left close that launches the node after an empty
-  // right side closed first (no right task is left to release the left).
-  if (node->op == PlanOp::kDifference) ReleaseDifferenceLeftIfReady();
+  Resume(std::move(wake));
+  for (auto& [s, page] : release) Dispatch(s, std::move(page));
   TryFinalize();
-}
-
-void NodeState::LaunchRelationReplayLocked(
-    std::vector<std::function<void()>>* tasks) {
-  // All inputs are complete; generate the instruction's tasks. Inner join
-  // pages are already in inner_pages (AddInnerPage), so outer tasks
-  // complete in one pass.
-  if (node->op == PlanOp::kJoin) {
-    for (auto& p : buffered[0]) {
-      OuterWork w;
-      w.outer = std::move(p);
-      ++outer_seen;
-      ++pending;
-      tasks->push_back([this, w = std::move(w)]() mutable {
-        RunJoinOuter(std::move(w));
-      });
-    }
-    buffered[0].clear();
-    return;
-  }
-  // Difference: replay the right side as tasks; the left side stays in
-  // left_buffer until the right tasks retire.
-  if (node->op == PlanOp::kDifference) {
-    for (auto& p : buffered[1]) {
-      ++pending;
-      ++pending_slot[1];
-      PendingPage moved = std::move(p);
-      tasks->push_back(
-          [this, moved]() mutable { RunUnaryTask(1, std::move(moved)); });
-    }
-    buffered[1].clear();
-    for (auto& p : buffered[0]) left_buffer.push_back(std::move(p));
-    buffered[0].clear();
-    return;
-  }
-  for (int slot = 0; slot < num_inputs; ++slot) {
-    for (auto& p : buffered[static_cast<size_t>(slot)]) {
-      ++pending;
-      ++pending_slot[static_cast<size_t>(slot)];
-      PendingPage moved = std::move(p);
-      tasks->push_back([this, slot, moved]() mutable {
-        RunUnaryTask(slot, std::move(moved));
-      });
-    }
-    buffered[static_cast<size_t>(slot)].clear();
-  }
-}
-
-void NodeState::ReleaseDifferenceLeftIfReady() {
-  std::vector<PendingPage> release;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (left_released) return;
-    if (!RightSideDoneLocked()) return;
-    left_released = true;
-    release.swap(left_buffer);
-    pending += release.size();
-    pending_slot[0] += release.size();
-  }
-  for (auto& p : release) {
-    PendingPage moved = std::move(p);
-    impl->DispatchPacket(
-        query, [this, moved]() mutable { RunUnaryTask(0, std::move(moved)); });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -726,33 +634,20 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
       // The kernel emits into the worker's run; the run reaches the
       // output packer in one call.
       TupleRun* run = WorkerRun();
-      Status s = Status::OK();
-      if (fused.has_value()) {
-        // Unary-chain collapse: one pass over the raw input page runs
-        // every absorbed step plus this node's own operation. The absorbed
-        // producers' pages never exist (one elision per absorbed edge per
-        // input page).
-        ctr.pipeline_fused_pages.fetch_add(1, std::memory_order_relaxed);
-        ctr.pipeline_pages_elided.fetch_add(
-            static_cast<uint64_t>(fused_chain_len),
-            std::memory_order_relaxed);
-        s = RunFusedPipeline(*fused, page, run, &ctr.kernel);
-      } else {
-        s = program->Consume(slot, page, run, &ctr.kernel);
-      }
+      Status s = program->Consume(slot, page, run, &ctr.kernel);
       if (s.ok()) s = EmitRun(run);
       if (!s.ok()) query->Fail(s.WithContext("operator task"));
     }
   }
   impl->RecordTrace(obs::TraceEventKind::kTaskExecuted, query, node->id, slot,
                     0, nullptr);
-  bool was_right_diff = node->op == PlanOp::kDifference && slot == 1;
+  std::vector<std::pair<int, PendingPage>> release;
   {
     std::lock_guard<std::mutex> lock(mu);
-    --pending;
-    --pending_slot[static_cast<size_t>(slot)];
+    RetireLocked(slot);
+    release = TakeRunnableLocked();
   }
-  if (was_right_diff) ReleaseDifferenceLeftIfReady();
+  for (auto& [s, page] : release) Dispatch(s, std::move(page));
   TryFinalize();
 }
 
@@ -785,15 +680,13 @@ void NodeState::RunJoinOuter(OuterWork w) {
       // Re-check under the lock: a page may have arrived since the
       // snapshot. inner_pages only grows, so cursor comparison is safe.
       if (w.cursor < inner_pages.size()) continue;
-      if (input_closed[1] && launched) {
-        ++outer_done;
-        --pending;
-        break;
-      }
+      // A join holds outer pages only until its inputs close (relation
+      // granularity), so no retiring outer task releases any.
+      RetireLocked(0);
+      if (input_closed[1]) break;
       // Wait for more inner pages: park this outer ("scan its IRC vector
       // and request the pages it missed", Section 4.2).
       parked.push_back(std::move(w));
-      --pending;
       // Finalization cannot trigger here (inner not closed), so return.
       return;
     }
@@ -883,14 +776,11 @@ void NodeState::TryFinalize() {
       // Leaf (scan or delete): done when the driver retires.
       if (!source_done) return;
     } else {
-      if (!launched) return;
-      for (bool c : input_closed) {
-        if (!c) return;
+      // Every input closed and nothing held. No join outer task is parked
+      // either: the inner input's close resumed them, and none parks after.
+      for (size_t i = 0; i < input_closed.size(); ++i) {
+        if (!input_closed[i] || !held[i].empty()) return;
       }
-      if (node->op == PlanOp::kJoin) {
-        if (outer_seen != outer_done || !parked.empty()) return;
-      }
-      if (node->op == PlanOp::kDifference && !left_released) return;
     }
     finalize_claimed = true;
   }
@@ -961,10 +851,11 @@ void SchedulerImpl::ScanStep(NodeState* node,
     PushdownCounters local;
     TupleRun* run = node->WorkerRun();
     Status s = buffer_.ReadFiltered((*ids)[idx], filter, run, &local);
+    const auto survivor_bytes = static_cast<uint64_t>(run->bytes().size());
     if (s.ok()) s = node->EmitRun(run);
     node->query->counters.pushdown.Add(local);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, node->query,
-                node->node->id, 0, local.tuples_out, "scan-pushdown");
+                node->node->id, 0, survivor_bytes, "scan-pushdown");
     if (!s.ok()) node->query->Fail(s.WithContext("scan pushdown"));
   } else {
     auto page = buffer_.Fetch((*ids)[idx]);
@@ -1015,7 +906,7 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
   Analyzer analyzer(&storage_->catalog());
   DFDB_ASSIGN_OR_RETURN(q->analysis, analyzer.Resolve(q->plan.get()));
   ApplyPlanPolicies(opts(), q->plan.get());
-  NodeState* root = BuildNode(q->plan.get(), nullptr, 0, q.get(), nullptr);
+  NodeState* root = BuildNode(q->plan.get(), nullptr, 0, q.get());
   if (root == nullptr) {
     return Status::Internal("failed to build node graph");
   }
@@ -1025,54 +916,18 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
 }
 
 bool SchedulerImpl::EdgeFused(const PlanNode& producer,
-                              const PlanNode& consumer, QueryRuntime* q,
-                              bool count_fallback) {
+                              const PlanNode& consumer, QueryRuntime* q) {
   if (producer.op == PlanOp::kScan || !producer.pipeline_fused) return false;
   if (PipelineEdgeSafe(producer, consumer)) return true;
   // The plan asked for fusion the engine cannot prove safe (e.g. a
   // hand-marked plan): fall back to materialization.
-  if (count_fallback) {
-    q->counters.pipeline_runtime_fallbacks.fetch_add(1,
-                                                     std::memory_order_relaxed);
-  }
+  q->counters.pipeline_runtime_fallbacks.fetch_add(1,
+                                                   std::memory_order_relaxed);
   return false;
 }
 
-Status SchedulerImpl::BuildFusedChain(
-    NodeState* ns, const std::vector<const PlanNode*>& chain) {
-  const PlanNode* n = ns->node;
-  ns->fused.emplace(chain.back()->child(0).output_schema.tuple_width());
-  // Deepest absorbed producer first, then up the chain, then this node's
-  // own operation as the final step.
-  std::vector<const PlanNode*> steps(chain.rbegin(), chain.rend());
-  steps.push_back(n);
-  for (const PlanNode* a : steps) {
-    const Schema& in = a->child(0).output_schema;
-    if (a->op == PlanOp::kRestrict) {
-      DFDB_ASSIGN_OR_RETURN(CompiledPredicate pred,
-                            CompiledPredicate::Compile(*a->predicate, in));
-      ns->fused->AddFilter(std::move(pred));
-    } else if (a->op == PlanOp::kProject) {
-      std::vector<int> indices;
-      for (const std::string& name : a->columns) {
-        DFDB_ASSIGN_OR_RETURN(int idx, in.ColumnIndex(name));
-        indices.push_back(idx);
-      }
-      ns->fused->AddProject(in, indices);
-    } else {
-      return Status::Internal("unexpected op in fused chain");
-    }
-  }
-  if (ns->fused->output_width() != n->output_schema.tuple_width()) {
-    return Status::Internal("fused chain width mismatch");
-  }
-  ns->fused_chain_len = static_cast<int>(chain.size());
-  return Status::OK();
-}
-
 NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
-                                    int slot, QueryRuntime* q,
-                                    const PlanNode* plan_parent) {
+                                    int slot, QueryRuntime* q) {
   auto state = std::make_unique<NodeState>();
   NodeState* ns = state.get();
   ns->impl = this;
@@ -1080,15 +935,13 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   ns->node = n;
   ns->parent = parent;
   ns->parent_slot = slot;
-  ns->plan_consumer = plan_parent;
   ns->num_inputs = n->num_children();
   ns->input_closed.assign(static_cast<size_t>(ns->num_inputs), false);
   ns->pending_slot.assign(static_cast<size_t>(std::max(ns->num_inputs, 1)), 0);
-  ns->buffered.resize(static_cast<size_t>(ns->num_inputs));
-  // Relation granularity defers interior instructions until their operands
-  // complete; leaves are always immediately executable.
-  ns->launched =
-      opts().granularity != Granularity::kRelation || ns->num_inputs == 0;
+  ns->held.resize(static_cast<size_t>(ns->num_inputs));
+  // Leaves are always immediately executable.
+  ns->relation_barrier =
+      opts().granularity == Granularity::kRelation && ns->num_inputs > 0;
 
   auto program = NodeProgram::Build(*n, storage_, &q->counters.kernel);
   if (program.ok()) {
@@ -1097,15 +950,13 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
     q->Fail(program.status().WithContext("node setup"));
   }
 
-  // Per-edge pipeline decision for the edge to this node's plan consumer.
-  // A fused edge whose consumer could have absorbed this node never gets
-  // here (the consumer skipped BuildNode for it), so a fused edge at this
-  // point delivers `direct`: its pages keep their packing (join output
-  // order depends on operand page boundaries) but skip the buffer-hierarchy
+  // Per-edge pipeline decision for the edge to the consumer. A fused edge
+  // delivers `direct`: its pages keep their packing (join output order
+  // depends on operand page boundaries) but skip the buffer-hierarchy
   // round trip, and the consumer uses the live pointer without a fetch.
   bool direct = false;
-  if (plan_parent != nullptr && n->op != PlanOp::kScan) {
-    if (EdgeFused(*n, *plan_parent, q)) {
+  if (parent != nullptr && n->op != PlanOp::kScan) {
+    if (EdgeFused(*n, *parent->node, q)) {
       direct = true;
       q->counters.pipeline_fused_edges.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -1157,43 +1008,10 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
         }
       });
 
-  // Children are wired after this node exists so their packers can reference
-  // it. A fusable unary consumer first absorbs the chain of fused
-  // producers below it: those nodes get no NodeState — the chain compiles
-  // into ns->fused and the chain's input wires directly to this node.
-  const bool absorbs = (n->op == PlanOp::kRestrict && ns->program != nullptr &&
-                        ns->program->predicate_compiled()) ||
-                       (n->op == PlanOp::kProject && !n->dedup);
+  // Children are wired after this node exists so their packers can
+  // reference it.
   for (int i = 0; i < n->num_children(); ++i) {
-    const PlanNode* child = &n->child(i);
-    if (i == 0 && absorbs) {
-      std::vector<const PlanNode*> chain;  // Nearest producer first.
-      const PlanNode* consumer = n;
-      const PlanNode* cur = child;
-      while ((cur->op == PlanOp::kRestrict || cur->op == PlanOp::kProject) &&
-             EdgeFused(*cur, *consumer, q, /*count_fallback=*/false)) {
-        chain.push_back(cur);
-        consumer = cur;
-        cur = &cur->child(0);
-      }
-      if (!chain.empty()) {
-        Status fs = BuildFusedChain(ns, chain);
-        if (fs.ok()) {
-          q->counters.pipeline_fused_edges.fetch_add(
-              chain.size(), std::memory_order_relaxed);
-          BuildNode(cur, ns, i, q, /*plan_parent=*/chain.back());
-          continue;
-        }
-        // Cannot happen when the safety conditions held (same deterministic
-        // compile); the chain is wired normally below (its edges then run
-        // direct rather than collapsed).
-        ns->fused.reset();
-        ns->fused_chain_len = 0;
-        q->counters.pipeline_runtime_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-    BuildNode(child, ns, i, q, n);
+    BuildNode(&n->child(i), ns, i, q);
   }
 
   q->nodes.push_back(std::move(state));
@@ -1215,7 +1033,8 @@ void SchedulerImpl::LaunchQuery(QueryRuntime* q) {
       IndexPruneCounters index;
       PushdownCounters pushdown;
       auto opened = OpenScan(storage_, q->snapshot, *ns->node,
-                             ns->plan_consumer, &index, &pushdown);
+                             ns->parent != nullptr ? ns->parent->node : nullptr,
+                             &index, &pushdown);
       q->counters.index.Add(index);
       q->counters.pushdown.Add(pushdown);
       if (!opened.ok()) {

@@ -116,7 +116,8 @@ enum class CounterKind {
     "Total injected stall window")
 
 /// pipeline.* (both backends): pipeline-fusion outcomes. Edges are counted
-/// once per query when it is built; pages as the fused chains run.
+/// once per query when it is built; pages as they are handed over or
+/// filtered.
 #define DFDB_PIPELINE_COUNTERS(X)                                             \
   X(pipeline_fused_edges, "pipeline.fused_edges", kCount, "Plan edges fused") \
   X(pipeline_materialized_edges, "pipeline.materialized_edges", kCount,       \
@@ -124,7 +125,7 @@ enum class CounterKind {
   X(pipeline_pages_elided, "pipeline.pages_elided", kCount,                   \
     "Intermediate pages (machine: units) never built thanks to fusion")       \
   X(pipeline_fused_pages, "pipeline.fused_pages", kCount,                     \
-    "Input pages run through a fused chain (machine: filtered in staging)")   \
+    "Pages a folded filter ran on in staging (simulator only)")               \
   X(pipeline_runtime_fallbacks, "pipeline.runtime_fallbacks", kCount,         \
     "Edges marked fused that had to materialize")
 

@@ -357,59 +357,6 @@ Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
   return ProbeJoin(pred, outer, *scratch, inner, &scratch->table, out, stats);
 }
 
-Status RunFusedPipeline(const FusedPipeline& fp, const Page& in,
-                        PageSink* out, KernelStats* stats) {
-  if (stats != nullptr) CountRelaxed(&stats->compiled_pages);
-  const std::vector<FusedPipeline::Step>& steps = fp.steps();
-  const int n = in.num_tuples();
-  const size_t stride = static_cast<size_t>(in.tuple_width());
-  const char* base = n > 0 ? in.tuple(0).data() : nullptr;
-  // Two alternating scratch buffers for mid-chain projections (a step may
-  // read from the buffer the previous projection wrote).
-  std::string scratch[2];
-  int flip = 0;
-  std::vector<Slice> parts;
-  for (int i = 0; i < n; ++i) {
-    const char* cur = base + static_cast<size_t>(i) * stride;
-    bool keep = true;
-    bool emitted = false;
-    for (size_t s = 0; s < steps.size(); ++s) {
-      const FusedPipeline::Step& step = steps[s];
-      if (step.kind == FusedPipeline::Step::Kind::kFilter) {
-        if (!step.filter.Matches(cur, nullptr)) {
-          keep = false;
-          break;
-        }
-        continue;
-      }
-      // Projection. The last step emits borrowed ranges copy-free; one
-      // that feeds a later step gathers into scratch instead.
-      if (s + 1 == steps.size()) {
-        parts.resize(step.runs.size());
-        for (size_t r = 0; r < step.runs.size(); ++r) {
-          parts[r] = Slice(cur + step.runs[r].offset,
-                           static_cast<size_t>(step.runs[r].width));
-        }
-        DFDB_RETURN_IF_ERROR(out->EmitParts(parts.data(), parts.size()));
-        emitted = true;
-        break;
-      }
-      std::string& buf = scratch[flip];
-      flip ^= 1;
-      buf.clear();
-      for (const FusedPipeline::ColumnRun& run : step.runs) {
-        buf.append(cur + run.offset, static_cast<size_t>(run.width));
-      }
-      cur = buf.data();
-    }
-    if (keep && !emitted) {
-      DFDB_RETURN_IF_ERROR(
-          out->Emit(Slice(cur, static_cast<size_t>(fp.output_width()))));
-    }
-  }
-  return Status::OK();
-}
-
 Status CopyPage(const Page& in, PageSink* out) {
   for (int i = 0; i < in.num_tuples(); ++i) {
     DFDB_RETURN_IF_ERROR(out->Emit(in.tuple(i)));

@@ -110,15 +110,6 @@ Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
                  const Page& inner, JoinScratch* scratch, PageSink* out,
                  KernelStats* stats = nullptr);
 
-/// \brief Runs a fused unary pipeline (restrict/project chain compiled by
-/// the optimizer's per-edge decision; see FusedPipeline in expr_compile.h)
-/// over one raw input page in a single pass, emitting surviving — possibly
-/// projected — tuples straight into \p out. None of the chain's
-/// intermediate pages are ever materialized; a mid-chain projection that
-/// feeds a later filter is staged per tuple in a small scratch buffer.
-Status RunFusedPipeline(const FusedPipeline& fp, const Page& in,
-                        PageSink* out, KernelStats* stats = nullptr);
-
 /// \brief Copies every tuple of \p in to \p out (union branch plumbing).
 Status CopyPage(const Page& in, PageSink* out);
 

@@ -102,8 +102,6 @@ class NodeProgram {
   /// every other op.
   Status ApplyEffect();
 
-  /// True when a restrict or delete predicate compiled.
-  bool predicate_compiled() const { return pred_.has_value(); }
   /// The heap file an append or delete writes, else null.
   HeapFile* file() const { return file_; }
 

@@ -268,85 +268,6 @@ class CompiledJoinPredicate {
   CompiledPredicate full_;
 };
 
-/// \brief A fused unary pipeline program: an ordered list of compiled
-/// filter and projection steps applied in one pass over raw input tuple
-/// bytes.
-///
-/// This is the compiled form of a restrict→project→… chain whose edges the
-/// optimizer marked pipelineable: the kernel (RunFusedPipeline,
-/// operators/kernels.h) walks every input tuple through all steps and
-/// emits survivors straight into the downstream PageSink — the
-/// intermediate Pages the chain would otherwise materialize per operator
-/// are never built. Steps are appended bottom-up (deepest operator first).
-/// Immutable once built and safe to run concurrently (no mutable state).
-class FusedPipeline {
- public:
-  /// A contiguous byte range of the step's input tuple (projection runs,
-  /// merged like ProjectPage's).
-  struct ColumnRun {
-    int32_t offset = 0;
-    int32_t width = 0;
-  };
-
-  struct Step {
-    enum class Kind : uint8_t { kFilter, kProject };
-    Kind kind = Kind::kFilter;
-    CompiledPredicate filter;      ///< kFilter only.
-    std::vector<ColumnRun> runs;   ///< kProject only.
-    int32_t out_width = 0;         ///< Tuple width leaving this step.
-  };
-
-  /// \p input_width is the tuple width entering the pipeline (the fused
-  /// chain's deepest input).
-  explicit FusedPipeline(int32_t input_width)
-      : input_width_(input_width), output_width_(input_width) {}
-  FusedPipeline() = default;
-
-  /// Appends a filter over the current layout. The predicate must have
-  /// been compiled against the schema of the tuples reaching this step.
-  void AddFilter(CompiledPredicate pred) {
-    Step s;
-    s.kind = Step::Kind::kFilter;
-    s.filter = std::move(pred);
-    s.out_width = output_width_;
-    steps_.push_back(std::move(s));
-  }
-
-  /// Appends a projection of \p indices out of \p current — the schema of
-  /// the tuples reaching this step. Adjacent columns merge into runs.
-  void AddProject(const Schema& current, const std::vector<int>& indices) {
-    Step s;
-    s.kind = Step::Kind::kProject;
-    int32_t width = 0;
-    for (int i : indices) {
-      const int32_t off = current.offset(i);
-      const int32_t w = current.column(i).width;
-      if (!s.runs.empty() &&
-          s.runs.back().offset + s.runs.back().width == off) {
-        s.runs.back().width += w;
-      } else {
-        s.runs.push_back(ColumnRun{off, w});
-      }
-      width += w;
-    }
-    s.out_width = width;
-    output_width_ = width;
-    steps_.push_back(std::move(s));
-  }
-
-  bool empty() const { return steps_.empty(); }
-  size_t num_steps() const { return steps_.size(); }
-  const std::vector<Step>& steps() const { return steps_; }
-  int32_t input_width() const { return input_width_; }
-  /// Width of the tuples the pipeline emits.
-  int32_t output_width() const { return output_width_; }
-
- private:
-  std::vector<Step> steps_;
-  int32_t input_width_ = 0;
-  int32_t output_width_ = 0;
-};
-
 inline bool CompiledPredicate::Matches(const char* left,
                                        const char* right) const {
   switch (shape_) {

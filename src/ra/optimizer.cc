@@ -360,9 +360,10 @@ enum class FuseVeto {
   kPredicateNotCompiled,
 };
 
-/// The safety half of the per-edge decision. Mirrors the compile-or-
-/// interpret contract: whenever any link of the chain cannot be *proven*
-/// safe to stream, the edge materializes.
+/// The safety half of the per-edge decision: whenever the edge cannot be
+/// *proven* safe to stream, it materializes. The consumer runs its own
+/// program on each page handed to it, so only the producer's predicate
+/// must compile (the simulator folds a compilable restrict alone).
 FuseVeto ClassifyEdgeSafety(const PlanNode& producer,
                             const PlanNode& consumer) {
   if (!producer.resolved || producer.num_children() < 1) {
@@ -387,16 +388,7 @@ FuseVeto ClassifyEdgeSafety(const PlanNode& producer,
   }
   switch (consumer.op) {
     case PlanOp::kJoin:
-      return FuseVeto::kNone;
     case PlanOp::kRestrict:
-      // The consumer's own predicate becomes the last step of the fused
-      // program, so it must compile too.
-      if (consumer.predicate == nullptr || !consumer.resolved ||
-          !CompiledPredicate::Compile(*consumer.predicate,
-                                      consumer.child(0).output_schema)
-               .ok()) {
-        return FuseVeto::kPredicateNotCompiled;
-      }
       return FuseVeto::kNone;
     case PlanOp::kProject:
       return consumer.dedup ? FuseVeto::kUnsupportedConsumer

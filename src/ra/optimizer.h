@@ -140,8 +140,8 @@ class Optimizer {
 /// True when streaming \p producer's output straight into \p consumer
 /// provably preserves results: the producer is a restrict whose predicate
 /// compiles (see expr_compile.h) or a projection without duplicate
-/// elimination, and the consumer is a join, a restrict whose own predicate
-/// compiles, or a non-dedup projection. Everything else — aggregates,
+/// elimination, and the consumer is a join, a restrict, or a non-dedup
+/// projection. Everything else — aggregates,
 /// unions, differences, writes, interpreted predicates — materializes, the
 /// conservative fallback.
 bool PipelineEdgeSafe(const PlanNode& producer, const PlanNode& consumer);

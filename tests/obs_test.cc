@@ -447,6 +447,38 @@ TEST_F(ObsBackendTest, EngineTraceEventsKeyedByBatchIndex) {
   EXPECT_GT(batch.trace->CountKind(obs::TraceEventKind::kPacketEnqueued), 0u);
 }
 
+TEST_F(ObsBackendTest, EnginePushedScanTracesSurvivorPayloadBytes) {
+  // A pushed scan's kTaskExecuted events carry payload bytes, like the raw
+  // scan's: the bytes of the survivors that ride the edge, not a count.
+  auto storage = FreshStorage();
+  auto plan = MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(400)));
+  plan->children[0]->pushdown = true;
+  ExecOptions opts;
+  opts.num_processors = 2;
+  opts.page_bytes = 2000;
+  opts.enable_trace = true;
+  ExecStats batch;
+  ASSERT_OK_AND_ASSIGN(QueryResult result,
+                       RunQuery(storage.get(), *plan, opts, &batch));
+  ASSERT_NE(batch.trace, nullptr);
+  ASSERT_GT(batch.pushdown.tuples_out, 0u);
+  uint64_t steps = 0;
+  uint64_t bytes = 0;
+  for (const obs::TraceEvent& e : batch.trace->events()) {
+    if (e.kind != obs::TraceEventKind::kTaskExecuted || e.detail == nullptr ||
+        std::string(e.detail) != "scan-pushdown") {
+      continue;
+    }
+    ++steps;
+    bytes += e.bytes;
+  }
+  EXPECT_EQ(steps, batch.pushdown.pages_filtered);
+  ASSERT_OK_AND_ASSIGN(HeapFile * alpha, storage->GetHeapFile("alpha"));
+  EXPECT_EQ(bytes, batch.pushdown.tuples_out *
+                       static_cast<uint64_t>(alpha->schema().tuple_width()));
+  EXPECT_EQ(batch.pushdown.tuples_out, result.num_tuples());
+}
+
 TEST_F(ObsBackendTest, EngineFaultStormLeavesTraceEvidence) {
   auto storage = FreshStorage();
   auto plans = Plans();

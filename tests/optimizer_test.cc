@@ -8,6 +8,7 @@
 
 #include "engine/run.h"
 #include "engine/reference.h"
+#include "ra/analyzer.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 #include "workload/paper_benchmark.h"
@@ -325,6 +326,37 @@ TEST_F(OptimizerTest, RestrictChainIntoJoinFusesEveryEdge) {
   PlanNodePtr optimized = OptimizeChecked(plan, &report);
   EXPECT_GE(report.edges_fused, 2) << report.ToString();
   (void)optimized;
+}
+
+TEST_F(OptimizerTest, RestrictUnderRefusedRestrictIsMarkedFused) {
+  // Only the producer's predicate must compile (the simulator folds a
+  // compilable restrict alone). The consumer runs its own program on the
+  // pages handed to it, interpreted when the compiler refuses it, as
+  // division is. DecidePipelining runs on its own because Optimize()
+  // would merge the two restricts first.
+  auto plan = MakeRestrict(
+      MakeRestrict(MakeScan("big"), Lt(Col("k10"), Lit(5))),
+      Lt(Div(Col("k1000"), Lit(3)), Lit(100)));
+  Analyzer analyzer(&storage_->catalog());
+  ASSERT_TRUE(analyzer.Resolve(plan.get()).ok());
+  Optimizer optimizer(&storage_->catalog());
+  OptimizerReport report;
+  optimizer.DecidePipelining(plan.get(), &report);
+  EXPECT_TRUE(plan->child(0).pipeline_fused) << report.ToString();
+  EXPECT_EQ(report.edges_fused, 1) << report.ToString();
+  EXPECT_EQ(report.fallback_predicate_not_compiled, 0) << report.ToString();
+
+  // The engine hands the producer's pages over live, and the refused
+  // predicate still filters them.
+  ExecStats stats;
+  ASSERT_OK_AND_ASSIGN(QueryResult fused,
+                       RunQuery(storage_.get(), *plan, ExecOptions{}, &stats));
+  EXPECT_EQ(stats.pipeline_fused_edges, 1u);
+  EXPECT_EQ(stats.kernel.compile_fallbacks, 1u);
+  ReferenceExecutor reference(storage_.get());
+  ASSERT_OK_AND_ASSIGN(QueryResult want, reference.Execute(*plan));
+  EXPECT_GT(want.num_tuples(), 0u);
+  ExpectSameResult(want, fused);
 }
 
 // ---------------------------------------------------------------------------

@@ -67,10 +67,12 @@ struct Coordinator::Run {
   int terminals_remaining = 0;
   int root_remaining = 0;
   uint32_t root_width = 0;
-  /// engine.tasks_executed summed from fragment terminals, per worker —
-  /// the deterministic work measure behind the bench's compute-speedup
-  /// gauge (max over workers = the critical path).
-  std::vector<uint64_t> worker_tasks;
+  /// Join page pairs (engine.kernel.hash_joins + nested_joins) summed from
+  /// fragment terminals, per worker. The hash partitioning fixes every
+  /// page a worker's joins see, and so this count: it is the work measure
+  /// behind the bench's compute-speedup gauge (max over workers = the
+  /// critical path).
+  std::vector<uint64_t> worker_page_pairs;
   std::string result_tuples;
   uint64_t result_rows = 0;
   uint64_t bytes = 0;
@@ -163,7 +165,7 @@ StatusOr<net::RemoteResult> Coordinator::RunPlan(const DistributedPlan& plan) {
   const int W = num_workers();
   const auto t0 = std::chrono::steady_clock::now();
   Run run;
-  run.worker_tasks.assign(static_cast<size_t>(W), 0);
+  run.worker_page_pairs.assign(static_cast<size_t>(W), 0);
   run.chans.reserve(static_cast<size_t>(W));
   for (int w = 0; w < W; ++w) {
     run.chans.push_back(std::make_unique<Run::Chan>());
@@ -364,9 +366,12 @@ StatusOr<net::RemoteResult> Coordinator::RunPlan(const DistributedPlan& plan) {
           auto rit = run.rid_to_stream.find(Key(w, rid));
           if (rit == run.rid_to_stream.end()) break;  // Not a fragment.
           if (stats.ok()) {
-            auto tit = stats->counters.find("engine.tasks_executed");
-            if (tit != stats->counters.end()) {
-              run.worker_tasks[static_cast<size_t>(w)] += tit->second;
+            for (const char* pairs :
+                 {"engine.kernel.hash_joins", "engine.kernel.nested_joins"}) {
+              auto pit = stats->counters.find(pairs);
+              if (pit != stats->counters.end()) {
+                run.worker_page_pairs[static_cast<size_t>(w)] += pit->second;
+              }
             }
           }
           auto sit = run.streams.find(rit->second);
@@ -478,21 +483,12 @@ StatusOr<net::RemoteResult> Coordinator::RunPlan(const DistributedPlan& plan) {
   result.tuples = std::move(run.result_tuples);
   result.num_tuples = run.result_rows;
   result.server_seconds = static_cast<double>(micros) / 1e6;
-  uint64_t total_tasks = 0;
-  uint64_t max_tasks = 0;
-  for (uint64_t t : run.worker_tasks) {
-    total_tasks += t;
-    max_tasks = std::max(max_tasks, t);
-  }
+  uint64_t max_pairs = 0;
+  for (uint64_t p : run.worker_page_pairs) max_pairs = std::max(max_pairs, p);
   result.counters["dist.batches_routed"] = run.batches;
   result.counters["dist.bytes_shuffled"] = run.bytes;
   result.counters["dist.credit_waits"] = run.credit_waits;
-  result.counters["dist.worker_tasks_total"] = total_tasks;
-  result.counters["dist.worker_tasks_max"] = max_tasks;
-  for (int w = 0; w < W; ++w) {
-    result.counters[StrFormat("dist.worker_tasks.%d", w)] =
-        run.worker_tasks[static_cast<size_t>(w)];
-  }
+  result.counters["dist.worker_page_pairs_max"] = max_pairs;
   return result;
 }
 

@@ -51,9 +51,11 @@ class Evaluator {
     Materialized out;
     out.schema = n.output_schema;
     PagePacker sink(RelationId{0}, std::max(1, n.output_schema.tuple_width()),
-                    storage_->default_page_bytes(), [&out](PagePtr page) {
+                    storage_->default_page_bytes(),
+                    [&out](PagePtr page) {
                       out.pages.push_back(std::move(page));
-                    });
+                    },
+                    storage_->frame_pool());
 
     switch (n.op) {
       case PlanOp::kScan: {

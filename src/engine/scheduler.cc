@@ -124,11 +124,6 @@ struct NodeState {
   /// Counts one instruction packet carrying \p payload_bytes of operand
   /// across the arbitration network.
   void CountPacket(uint64_t payload_bytes);
-  /// The calling worker's tuple run, emptied for this node's output.
-  TupleRun* WorkerRun();
-  /// Packs \p run into the output pages under one packer lock, then
-  /// empties it.
-  Status EmitRun(TupleRun* run);
 
   // --- scheduling helpers ---
   /// True when pages of input \p slot may run now: under relation
@@ -457,19 +452,20 @@ namespace {
 class CompiledFilter final : public PushdownFilter {
  public:
   explicit CompiledFilter(const CompiledPredicate* pred) : pred_(pred) {}
-  Status Filter(const Page& page, TupleRun* run) const override {
-    return RestrictPage(*pred_, page, run);
+  Status Filter(const Page& page, PageSink* sink) const override {
+    return RestrictPage(*pred_, page, sink);
   }
 
  private:
   const CompiledPredicate* pred_;
 };
 
-/// What a worker reuses from task to task: the run its kernels emit into,
-/// and the key hashes of the outer page its join task probes with. A
+/// What a worker reuses from task to task: the writer its kernels emit
+/// through, checked out to the output packer of whichever node the task
+/// runs, and the key hashes of the outer page its join task probes with. A
 /// worker runs one task at a time, so neither is shared.
 struct WorkerScratch {
-  TupleRun run;
+  PagePacker::Writer writer;
   JoinScratch join;
 };
 
@@ -631,11 +627,13 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
                         static_cast<uint64_t>(page.payload_bytes()),
                         p.direct ? "fused-direct" : nullptr);
 
-      // The kernel emits into the worker's run; the run reaches the
-      // output packer in one call.
-      TupleRun* run = WorkerRun();
-      Status s = program->Consume(slot, page, run, &ctr.kernel);
-      if (s.ok()) s = EmitRun(run);
+      // The kernel writes straight into an output frame the worker owns;
+      // check-in delivers the pages it filled and returns the partial one
+      // before the task retires.
+      PagePacker::Writer& writer = ThisWorker().writer;
+      Status s = out->CheckOut(&writer);
+      if (s.ok()) s = program->Consume(slot, page, &writer, &ctr.kernel);
+      writer.CheckIn();
       if (!s.ok()) query->Fail(s.WithContext("operator task"));
     }
   }
@@ -666,6 +664,7 @@ void NodeState::RunJoinOuter(OuterWork w) {
   // The outer page's keys are hashed once, at the first inner page this
   // task meets.
   JoinScratch& keys = ThisWorker().join;
+  PagePacker::Writer& writer = ThisWorker().writer;
   bool hashed = false;
   for (;;) {
     std::vector<const InnerPage*> batch;
@@ -676,6 +675,10 @@ void NodeState::RunJoinOuter(OuterWork w) {
       }
     }
     if (batch.empty()) {
+      // The partial frame goes back before this task parks or retires:
+      // retiring may finalize the node, and its packer closes only once
+      // every writer is in.
+      writer.CheckIn();
       std::lock_guard<std::mutex> lock(mu);
       // Re-check under the lock: a page may have arrived since the
       // snapshot. inner_pages only grows, so cursor comparison is safe.
@@ -696,7 +699,7 @@ void NodeState::RunJoinOuter(OuterWork w) {
         program->HashOuter(*outer_page, &keys);
         hashed = true;
       }
-      TupleRun* run = WorkerRun();
+      Status s = writer.checked_out() ? Status::OK() : out->CheckOut(&writer);
       for (const InnerPage* inner : batch) {
         // Each fetched inner page is one broadcast packet (Section 4.2); on
         // a fused inner edge every re-delivery is a fetch that never
@@ -710,10 +713,12 @@ void NodeState::RunJoinOuter(OuterWork w) {
                             static_cast<uint64_t>(inner_page->payload_bytes()),
                             "broadcast");
         }
-        // One packer call per page pair.
-        Status s = program->Join(*outer_page, keys, *inner_page,
-                                 inner->table.get(), run, &ctr.kernel);
-        if (s.ok()) s = EmitRun(run);
+        // The pages each page pair fills go to the consumer right after it.
+        if (s.ok()) {
+          s = program->Join(*outer_page, keys, *inner_page,
+                            inner->table.get(), &writer, &ctr.kernel);
+        }
+        writer.Deliver();
         if (!s.ok()) {
           query->Fail(s.WithContext("join task"));
           break;
@@ -739,19 +744,6 @@ PagePtr NodeState::FetchOperand(const PendingPage& p, bool count_packet,
     CountPacket(static_cast<uint64_t>((*fetched)->payload_bytes()));
   }
   return *std::move(fetched);
-}
-
-TupleRun* NodeState::WorkerRun() {
-  TupleRun* run = &ThisWorker().run;
-  run->Reset(out->tuple_width());
-  return run;
-}
-
-Status NodeState::EmitRun(TupleRun* run) {
-  if (run->empty()) return Status::OK();
-  Status s = out->EmitRun(*run);
-  run->Clear();
-  return s;
 }
 
 void NodeState::CountPacket(uint64_t payload_bytes) {
@@ -843,16 +835,19 @@ void SchedulerImpl::ScanStep(NodeState* node,
     return;
   }
   if (node->pushdown_pred.has_value()) {
-    // Pushdown path: the compiled restrict runs where the page lives;
-    // survivors repack into unit pages in the output packer, so the
+    // Pushdown path: the compiled restrict runs where the page lives and
+    // writes survivors straight into the scan's output frames, so the
     // consumer's operand fetches (arbitration traffic) shrink with the
     // selectivity.
     CompiledFilter filter(&*node->pushdown_pred);
     PushdownCounters local;
-    TupleRun* run = node->WorkerRun();
-    Status s = buffer_.ReadFiltered((*ids)[idx], filter, run, &local);
-    const auto survivor_bytes = static_cast<uint64_t>(run->bytes().size());
-    if (s.ok()) s = node->EmitRun(run);
+    PagePacker::Writer& writer = ThisWorker().writer;
+    Status s = node->out->CheckOut(&writer);
+    if (s.ok()) s = buffer_.ReadFiltered((*ids)[idx], filter, &writer, &local);
+    const uint64_t survivor_bytes =
+        writer.tuples_written() *
+        static_cast<uint64_t>(node->out->tuple_width());
+    writer.CheckIn();
     node->query->counters.pushdown.Add(local);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, node->query,
                 node->node->id, 0, survivor_bytes, "scan-pushdown");
@@ -967,7 +962,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
 
   // Output packer: each sealed page goes into the query result at the
   // root, live to the consumer on a fused edge, else through the buffer
-  // hierarchy.
+  // hierarchy. Its frames come from the storage engine's pool.
   const int tuple_width = std::max(1, n->output_schema.tuple_width());
   const RelationId pseudo = 0xD0000000u + static_cast<RelationId>(n->id);
   const bool count_distribution = n->op != PlanOp::kScan && !direct;
@@ -1006,7 +1001,8 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
           q->RecordIntermediate(id);
           parent->OnPage(slot, PendingPage{std::move(page), id});
         }
-      });
+      },
+      storage_->frame_pool());
 
   // Children are wired after this node exists so their packers can
   // reference it.

@@ -200,7 +200,8 @@ class Sim {
             [this, id = static_cast<int>(i), slot](PagePtr page) {
               DeliverOperandPage(id, static_cast<int>(slot),
                                  StagedPage{std::move(page), NextUid()});
-            });
+            },
+            storage_->frame_pool());
       }
       auto program = NodeProgram::Build(*prog_.instructions[i].node, storage_,
                                         &kernel_stats_,
@@ -845,7 +846,8 @@ void Sim::HandleIpRequestAtMc(int instr_id) {
         0, width, UnitBytes(opt_.granularity, cfg_.page_bytes, width),
         [this, ip](PagePtr page) {
           ips_[static_cast<size_t>(ip)].sealed.push_back(std::move(page));
-        });
+        },
+        storage_->frame_pool());
     ir.ips.push_back(ip);
     Tr(obs::TraceEventKind::kTaskClaimed, instr_id, ip, 0, "ip-grant");
   }

@@ -52,7 +52,8 @@ StatusOr<PagePtr> BufferManager::Fetch(PageId id) {
 }
 
 Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
-                                   TupleRun* run, PushdownCounters* counters) {
+                                   PagePacker::Writer* writer,
+                                   PushdownCounters* counters) {
   auto page = store_->Get(id);
   if (!page.ok()) return page.status();
   const int bytes = (*page)->payload_bytes();
@@ -60,9 +61,9 @@ Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
 
   // Run the compiled program against the raw page before touching residency
   // state: the scan happens inside the device, outside the manager's lock.
-  const size_t before = run->num_tuples();
-  DFDB_RETURN_IF_ERROR(filter.Filter(**page, run));
-  const uint64_t survivors = run->num_tuples() - before;
+  const uint64_t before = writer->tuples_written();
+  DFDB_RETURN_IF_ERROR(filter.Filter(**page, writer));
+  const uint64_t survivors = writer->tuples_written() - before;
   const uint64_t surviving_bytes =
       survivors * static_cast<uint64_t>((*page)->tuple_width());
 

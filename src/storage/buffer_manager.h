@@ -40,15 +40,15 @@ class BufferManager {
   StatusOr<PagePtr> Fetch(PageId id);
 
   /// Near-data read: applies \p filter to the page *at the level where it
-  /// resides* and appends only survivors to \p run, so the
+  /// resides* and writes only survivors through \p writer, so the
   /// cache -> local transfer is charged for surviving bytes only (the scan
   /// itself stays inside the device). The page is not promoted to local
   /// memory — survivors, not the raw page, move up the hierarchy; a page
   /// absent from both levels streams disk -> cache in full (the drive
   /// cannot filter) and then filters at the cache. Counters are charged to
   /// \p counters when non-null.
-  Status ReadFiltered(PageId id, const PushdownFilter& filter, TupleRun* run,
-                      PushdownCounters* counters);
+  Status ReadFiltered(PageId id, const PushdownFilter& filter,
+                      PagePacker::Writer* writer, PushdownCounters* counters);
 
   /// Registers a freshly produced page: stores it in mass storage's map
   /// (logical home), makes it resident in local memory, and returns its id.

@@ -46,7 +46,7 @@ Status Page::Append(Slice tuple) {
   if (full()) {
     return Status::ResourceExhausted("page is full");
   }
-  data_.insert(data_.end(), tuple.data(), tuple.data() + tuple.size());
+  std::memcpy(end(), tuple.data(), tuple.size());
   ++num_tuples_;
   return Status::OK();
 }
@@ -62,8 +62,10 @@ Status Page::AppendParts(const Slice* parts, size_t n) {
   if (full()) {
     return Status::ResourceExhausted("page is full");
   }
+  char* out = end();
   for (size_t i = 0; i < n; ++i) {
-    data_.insert(data_.end(), parts[i].data(), parts[i].data() + parts[i].size());
+    std::memcpy(out, parts[i].data(), parts[i].size());
+    out += parts[i].size();
   }
   ++num_tuples_;
   return Status::OK();
@@ -80,19 +82,19 @@ Status Page::AppendRun(Slice tuples) {
   if (n > capacity_tuples() - num_tuples_) {
     return Status::ResourceExhausted("page is full");
   }
-  data_.insert(data_.end(), tuples.data(), tuples.data() + tuples.size());
+  std::memcpy(end(), tuples.data(), tuples.size());
   num_tuples_ += n;
   return Status::OK();
 }
 
 std::string Page::Serialize() const {
   std::string out;
-  out.reserve(kHeaderBytes + data_.size());
+  out.reserve(kHeaderBytes + static_cast<size_t>(payload_bytes()));
   PutU32(&out, relation_);
   PutU32(&out, static_cast<uint32_t>(tuple_width_));
   PutU32(&out, static_cast<uint32_t>(capacity_bytes_));
   PutU32(&out, static_cast<uint32_t>(num_tuples_));
-  out.append(data_.data(), data_.size());
+  out.append(data_.get(), static_cast<size_t>(payload_bytes()));
   return out;
 }
 

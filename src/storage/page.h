@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/slice.h"
@@ -28,8 +27,10 @@ constexpr PageId kInvalidPageId = 0;
 /// \brief A page: header plus packed fixed-width tuples.
 ///
 /// Pages are immutable once sealed; the engine shares them between operators
-/// via shared_ptr<const Page>. `capacity_bytes` is the payload budget — the
-/// paper's "page size" (1,000 / 10,000 / 16 K bytes in its examples).
+/// via shared_ptr<const Page>, whose deleter may hand the page's frame back
+/// to a FramePool for reuse (storage/frame_pool.h). `capacity_bytes` is the
+/// payload budget — the paper's "page size" (1,000 / 10,000 / 16 K bytes in
+/// its examples).
 class Page {
  public:
   /// Creates an empty page for tuples of \p tuple_width bytes.
@@ -68,7 +69,7 @@ class Page {
 
   /// Borrowed view of tuple \p i; valid while the page is alive.
   Slice tuple(int i) const {
-    return Slice(data_.data() + static_cast<size_t>(i) * tuple_width_,
+    return Slice(data_.get() + static_cast<size_t>(i) * tuple_width_,
                  static_cast<size_t>(tuple_width_));
   }
 
@@ -80,18 +81,26 @@ class Page {
   static StatusOr<Page> Deserialize(Slice bytes);
 
  private:
+  /// Recycles page frames: empties and re-tags a page, keeping its buffer.
+  friend class FramePool;
+
   Page(RelationId relation, int tuple_width, int capacity_bytes)
       : relation_(relation),
         tuple_width_(tuple_width),
-        capacity_bytes_(capacity_bytes) {
-    data_.reserve(static_cast<size_t>(capacity_bytes));
+        capacity_bytes_(capacity_bytes),
+        data_(new char[static_cast<size_t>(capacity_bytes)]) {}
+
+  /// Where the next tuple goes.
+  char* end() {
+    return data_.get() + static_cast<size_t>(num_tuples_) * tuple_width_;
   }
 
   RelationId relation_;
   int tuple_width_;
   int capacity_bytes_;
   int num_tuples_ = 0;
-  std::vector<char> data_;
+  /// capacity_bytes_ of payload; the first num_tuples_ tuples are in use.
+  std::unique_ptr<char[]> data_;
 };
 
 using PagePtr = std::shared_ptr<const Page>;

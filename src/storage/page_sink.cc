@@ -1,67 +1,67 @@
 #include "storage/page_sink.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace dfdb {
 
-Status TupleRun::EmitParts(const Slice* parts, size_t n) {
+namespace {
+
+Status CheckWidth(const Slice* parts, size_t n, int tuple_width) {
   size_t total = 0;
   for (size_t i = 0; i < n; ++i) total += parts[i].size();
-  if (total != static_cast<size_t>(tuple_width_)) {
+  if (total != static_cast<size_t>(tuple_width)) {
     return Status::InvalidArgument(
-        StrFormat("tuple parts sum to %zu bytes, run expects %d", total,
-                  tuple_width_));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    bytes_.append(parts[i].data(), parts[i].size());
+        StrFormat("tuple parts sum to %zu bytes, packer expects %d", total,
+                  tuple_width));
   }
   return Status::OK();
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// PagePacker
+// ---------------------------------------------------------------------------
+
 Status PagePacker::EmitParts(const Slice* parts, size_t n) {
+  DFDB_RETURN_IF_ERROR(CheckWidth(parts, n, tuple_width_));
   std::unique_ptr<Page> sealed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return Status::FailedPrecondition("page packer is closed");
-    DFDB_RETURN_IF_ERROR(OpenLocked());
-    DFDB_RETURN_IF_ERROR(open_->AppendParts(parts, n));
+    if (partial_.empty()) {
+      DFDB_ASSIGN_OR_RETURN(std::unique_ptr<Page> frame, NewFrame());
+      partial_.push_back(std::move(frame));
+    }
+    Page* page = partial_.back().get();
+    DFDB_RETURN_IF_ERROR(page->AppendParts(parts, n));
     ++tuples_emitted_;
-    if (open_->full()) sealed = TakeOpenLocked();
+    if (page->full()) {
+      sealed = std::move(partial_.back());
+      partial_.pop_back();
+    }
   }
-  if (sealed != nullptr) on_page_(PagePtr(std::move(sealed)));
+  if (sealed != nullptr) on_page_(frames_.Seal(std::move(sealed)));
   return Status::OK();
 }
 
-Status PagePacker::EmitRun(const TupleRun& run) {
-  if (run.tuple_width() != tuple_width_) {
-    return Status::InvalidArgument("run tuple width does not match packer");
+Status PagePacker::CheckOut(Writer* writer) {
+  if (writer->checked_out()) {
+    return Status::FailedPrecondition("writer is already checked out");
   }
-  const size_t width = static_cast<size_t>(tuple_width_);
-  Slice rest = run.bytes();
-  std::vector<std::unique_ptr<Page>> sealed;
-  Status s = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return Status::FailedPrecondition("page packer is closed");
-    while (rest.size() >= width) {
-      s = OpenLocked();
-      if (!s.ok()) break;
-      const size_t room =
-          static_cast<size_t>(open_->capacity_tuples() - open_->num_tuples());
-      const size_t take = std::min(rest.size() / width, room);
-      s = open_->AppendRun(Slice(rest.data(), take * width));
-      if (!s.ok()) break;
-      rest.remove_prefix(take * width);
-      tuples_emitted_ += take;
-      if (open_->full()) sealed.push_back(TakeOpenLocked());
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return Status::FailedPrecondition("page packer is closed");
+  ++writers_out_;
+  if (!partial_.empty()) {
+    writer->open_ = std::move(partial_.back());
+    partial_.pop_back();
   }
-  for (std::unique_ptr<Page>& page : sealed) {
-    on_page_(PagePtr(std::move(page)));
-  }
-  return s;
+  writer->packer_ = this;
+  return Status::OK();
 }
 
 Status PagePacker::EmitPage(const PagePtr& page) {
@@ -73,7 +73,7 @@ Status PagePacker::EmitPage(const PagePtr& page) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return Status::FailedPrecondition("page packer is closed");
     pass = page->full() && page->capacity_bytes() == unit_bytes_ &&
-           (open_ == nullptr || open_->empty());
+           partial_.empty();
     if (pass) tuples_emitted_ += static_cast<uint64_t>(page->num_tuples());
   }
   if (pass) {
@@ -87,35 +87,95 @@ Status PagePacker::EmitPage(const PagePtr& page) {
 }
 
 void PagePacker::Flush() {
-  std::unique_ptr<Page> sealed;
+  std::vector<std::unique_ptr<Page>> partials;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    sealed = TakeOpenLocked();
+    partials.swap(partial_);
   }
-  if (sealed != nullptr) on_page_(PagePtr(std::move(sealed)));
+  if (partials.empty()) return;
+  // Concurrent writers leave one partial page each: copy the others' tuples
+  // behind the first one's, so every sealed page but the last is full.
+  const size_t width = static_cast<size_t>(tuple_width_);
+  std::vector<std::unique_ptr<Page>> sealed;
+  std::unique_ptr<Page> open = std::move(partials.front());
+  for (size_t i = 1; i < partials.size(); ++i) {
+    const Page& from = *partials[i];
+    int next = 0;
+    while (next < from.num_tuples()) {
+      if (open->full()) {
+        sealed.push_back(std::move(open));
+        auto frame = NewFrame();
+        DFDB_CHECK(frame.ok()) << frame.status();
+        open = *std::move(frame);
+      }
+      const int take = std::min(from.num_tuples() - next,
+                                open->capacity_tuples() - open->num_tuples());
+      DFDB_CHECK_OK(open->AppendRun(
+          Slice(from.tuple(next).data(), static_cast<size_t>(take) * width)));
+      next += take;
+    }
+    frames_.Release(std::move(partials[i]));
+  }
+  sealed.push_back(std::move(open));
+  for (std::unique_ptr<Page>& page : sealed) {
+    on_page_(frames_.Seal(std::move(page)));
+  }
 }
 
 Status PagePacker::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return Status::FailedPrecondition("page packer is closed");
+    if (writers_out_ > 0) {
+      return Status::FailedPrecondition(
+          "page packer closed while a writer is checked out");
+    }
     closed_ = true;
   }
-  Flush();  // No emit can reopen a page once closed_ is set.
+  Flush();  // No emit or check-out can add a partial page once closed_ is set.
   return Status::OK();
 }
 
-Status PagePacker::OpenLocked() {
-  if (open_ != nullptr) return Status::OK();
-  DFDB_ASSIGN_OR_RETURN(Page page,
-                        Page::Create(relation_, tuple_width_, unit_bytes_));
-  open_ = std::make_unique<Page>(std::move(page));
+// ---------------------------------------------------------------------------
+// PagePacker::Writer
+// ---------------------------------------------------------------------------
+
+PagePacker::Writer::~Writer() {
+  DFDB_CHECK(!checked_out()) << "page writer destroyed while checked out";
+}
+
+Status PagePacker::Writer::EmitParts(const Slice* parts, size_t n) {
+  if (packer_ == nullptr) {
+    return Status::FailedPrecondition("page writer is not checked out");
+  }
+  if (open_ == nullptr) {
+    DFDB_ASSIGN_OR_RETURN(open_, packer_->NewFrame());
+  }
+  DFDB_RETURN_IF_ERROR(open_->AppendParts(parts, n));
+  ++written_;
+  if (open_->full()) full_.push_back(std::move(open_));
   return Status::OK();
 }
 
-std::unique_ptr<Page> PagePacker::TakeOpenLocked() {
-  if (open_ == nullptr || open_->empty()) return nullptr;
-  return std::move(open_);
+void PagePacker::Writer::Deliver() {
+  for (std::unique_ptr<Page>& frame : full_) {
+    packer_->on_page_(packer_->frames_.Seal(std::move(frame)));
+  }
+  full_.clear();
+}
+
+void PagePacker::Writer::CheckIn() {
+  if (packer_ == nullptr) return;
+  Deliver();
+  PagePacker* packer = std::exchange(packer_, nullptr);
+  std::unique_ptr<Page> open = std::move(open_);
+  if (open != nullptr && open->empty()) {
+    packer->frames_.Release(std::move(open));
+  }
+  std::lock_guard<std::mutex> lock(packer->mu_);
+  packer->tuples_emitted_ += std::exchange(written_, 0);
+  --packer->writers_out_;
+  if (open != nullptr) packer->partial_.push_back(std::move(open));
 }
 
 }  // namespace dfdb

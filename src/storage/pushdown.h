@@ -7,8 +7,8 @@
 /// hierarchy run a compiled restrict during the cache -> local transfer
 /// without the storage layer depending on the expression subsystem: the
 /// engine adapts the compiled restrict page kernel behind it, and
-/// `BufferManager::ReadFiltered` filters a whole page into the caller's
-/// `TupleRun`, which the scan then packs into its output pages.
+/// `BufferManager::ReadFiltered` filters a whole page through the scan's
+/// writer, which puts survivors straight into its output page frames.
 
 #ifndef DFDB_STORAGE_PUSHDOWN_H_
 #define DFDB_STORAGE_PUSHDOWN_H_
@@ -28,9 +28,9 @@ namespace dfdb {
 class PushdownFilter {
  public:
   virtual ~PushdownFilter() = default;
-  /// Appends the tuples of \p page that satisfy the predicate to \p run,
+  /// Emits the tuples of \p page that satisfy the predicate into \p sink,
   /// in page order.
-  virtual Status Filter(const Page& page, TupleRun* run) const = 0;
+  virtual Status Filter(const Page& page, PageSink* sink) const = 0;
 };
 
 }  // namespace dfdb

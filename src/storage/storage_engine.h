@@ -13,6 +13,7 @@
 
 #include "catalog/catalog.h"
 #include "common/macros.h"
+#include "storage/frame_pool.h"
 #include "storage/heap_file.h"
 #include "storage/page_store.h"
 #include "storage/relation_ref.h"
@@ -61,6 +62,9 @@ class StorageEngine {
   const Catalog& catalog() const { return catalog_; }
   PageStore& page_store() { return store_; }
   const PageStore& page_store() const { return store_; }
+  /// The frames every engine built over this storage packs result pages
+  /// into: one pool, so concurrent schedulers share one peak.
+  FramePool& frame_pool() { return frames_; }
   int default_page_bytes() const { return default_page_bytes_; }
 
   /// Creates relation + heap file; returns the new id.
@@ -130,6 +134,9 @@ class StorageEngine {
 
   const int default_page_bytes_;
   Catalog catalog_;
+  /// Declared ahead of the store, so the pages it holds return their
+  /// frames to a live pool when it is destroyed.
+  FramePool frames_;
   PageStore store_;
   mutable std::mutex mu_;
   std::unordered_map<RelationId, std::unique_ptr<HeapFile>> files_;

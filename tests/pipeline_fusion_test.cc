@@ -346,6 +346,51 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
   EXPECT_EQ(engine_json[0], engine_json[1]);
   EXPECT_NE(engine_json[0].find("engine.pipeline.fused_edges"),
             std::string::npos);
+
+  // One worker also fixes every page the engine builds, so the counters and
+  // the result pages are pinned to literal values at both granularities: a
+  // change to how outputs are packed must leave them untouched, not merely
+  // repeatable. 1 KB units seal many pages per edge, so the pin covers
+  // packing across page boundaries, not just single-page outputs.
+  struct Golden {
+    Granularity granularity;
+    uint64_t pages_produced, tuples_produced, packets, arbitration_bytes,
+        distribution_bytes, tasks_executed, scan_throttle_yields,
+        pipeline_pages_elided, result_fnv;
+  };
+  const Golden goldens[] = {
+      {Granularity::kPage, 159, 1180, 89, 66600, 11100, 338, 868, 65,
+       0xb9394f984854f8dbULL},
+      {Granularity::kRelation, 159, 1180, 89, 66600, 11100, 287, 88, 65,
+       0x5f655557cf438e67ULL},
+  };
+  eopts.page_bytes = 1024;
+  for (const Golden& want : goldens) {
+    SCOPED_TRACE(std::string(GranularityToString(want.granularity)));
+    eopts.granularity = want.granularity;
+    ExecStats stats;
+    auto results = RunBatch(&storage, plans, eopts, &stats);
+    ASSERT_TRUE(results.ok()) << results.status();
+    // FNV-1a 64 over every result page's serialized bytes, query by query.
+    uint64_t fnv = 0xcbf29ce484222325ULL;
+    for (const QueryResult& result : *results) {
+      for (const PagePtr& page : result.pages()) {
+        for (char c : page->Serialize()) {
+          fnv ^= static_cast<unsigned char>(c);
+          fnv *= 0x100000001b3ULL;
+        }
+      }
+    }
+    EXPECT_EQ(stats.pages_produced, want.pages_produced);
+    EXPECT_EQ(stats.tuples_produced, want.tuples_produced);
+    EXPECT_EQ(stats.packets, want.packets);
+    EXPECT_EQ(stats.arbitration_bytes, want.arbitration_bytes);
+    EXPECT_EQ(stats.distribution_bytes, want.distribution_bytes);
+    EXPECT_EQ(stats.tasks_executed, want.tasks_executed);
+    EXPECT_EQ(stats.scan_throttle_yields, want.scan_throttle_yields);
+    EXPECT_EQ(stats.pipeline_pages_elided, want.pipeline_pages_elided);
+    EXPECT_EQ(fnv, want.result_fnv);
+  }
 }
 
 }  // namespace

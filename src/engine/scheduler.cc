@@ -35,9 +35,11 @@ namespace internal {
 class SchedulerImpl;
 
 /// A page travelling between nodes: the live pointer plus its id in the
-/// buffer hierarchy (fetching by id is what generates storage traffic).
-/// Pages on fused edges are delivered `direct`: they never enter the
-/// hierarchy, so the consumer uses the live pointer and skips the fetch.
+/// buffer hierarchy, against which the consumer charges its reads (the
+/// page itself never enters the store, and its frame returns to the pool
+/// once the last task that reads it retires). Pages on fused edges are
+/// delivered `direct`: they never enter the hierarchy, so reading them
+/// charges nothing.
 struct PendingPage {
   PagePtr page;
   PageId id;
@@ -115,12 +117,10 @@ struct NodeState {
   // --- task bodies ---
   void RunUnaryTask(int slot, PendingPage p);
   void RunJoinOuter(OuterWork w);
-  /// The page \p p names: the live pointer on a fused edge (no fetch, no
-  /// packet), else a fetch through the buffer hierarchy that counts one
-  /// packet when \p count_packet. Null once the fetch failed, which fails
-  /// the query with \p context.
-  PagePtr FetchOperand(const PendingPage& p, bool count_packet,
-                       const char* context);
+  /// The page \p p carries. On a materialized edge, reading it charges
+  /// the buffer hierarchy's transfer against its id and, when
+  /// \p count_packet, one packet; on a fused edge it charges nothing.
+  const Page& FetchOperand(const PendingPage& p, bool count_packet);
   /// Counts one instruction packet carrying \p payload_bytes of operand
   /// across the arbitration network.
   void CountPacket(uint64_t payload_bytes);
@@ -618,24 +618,19 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
     // paper's model. Pages on fused edges arrive live, with no packet or
     // arbitration traffic (the engine.pipeline.* counters record that
     // saving instead).
-    const PagePtr operand = FetchOperand(p, /*count_packet=*/true,
-                                         "operand fetch");
-    if (operand != nullptr) {
-      const Page& page = *operand;
-      impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query,
-                        node->id, slot,
-                        static_cast<uint64_t>(page.payload_bytes()),
-                        p.direct ? "fused-direct" : nullptr);
+    const Page& page = FetchOperand(p, /*count_packet=*/true);
+    impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query, node->id,
+                      slot, static_cast<uint64_t>(page.payload_bytes()),
+                      p.direct ? "fused-direct" : nullptr);
 
-      // The kernel writes straight into an output frame the worker owns;
-      // check-in delivers the pages it filled and returns the partial one
-      // before the task retires.
-      PagePacker::Writer& writer = ThisWorker().writer;
-      Status s = out->CheckOut(&writer);
-      if (s.ok()) s = program->Consume(slot, page, &writer, &ctr.kernel);
-      writer.CheckIn();
-      if (!s.ok()) query->Fail(s.WithContext("operator task"));
-    }
+    // The kernel writes straight into an output frame the worker owns;
+    // check-in delivers the pages it filled and returns the partial one
+    // before the task retires.
+    PagePacker::Writer& writer = ThisWorker().writer;
+    Status s = out->CheckOut(&writer);
+    if (s.ok()) s = program->Consume(slot, page, &writer, &ctr.kernel);
+    writer.CheckIn();
+    if (!s.ok()) query->Fail(s.WithContext("operator task"));
   }
   impl->RecordTrace(obs::TraceEventKind::kTaskExecuted, query, node->id, slot,
                     0, nullptr);
@@ -654,11 +649,10 @@ void NodeState::RunJoinOuter(OuterWork w) {
   ctr.tasks_executed.fetch_add(1, std::memory_order_relaxed);
   impl->RecordTrace(obs::TraceEventKind::kTaskClaimed, query, node->id, 0, 0,
                     w.first ? "join-outer" : "join-resume");
-  const bool failed = query->failed.load(std::memory_order_relaxed);
-
   // A resumed outer task counted its packet on the first pass.
-  const PagePtr outer_page =
-      failed ? nullptr : FetchOperand(w.outer, w.first, "join outer fetch");
+  const Page* outer_page = query->failed.load(std::memory_order_relaxed)
+                               ? nullptr
+                               : &FetchOperand(w.outer, w.first);
   w.first = false;
 
   // The outer page's keys are hashed once, at the first inner page this
@@ -693,7 +687,7 @@ void NodeState::RunJoinOuter(OuterWork w) {
       // Finalization cannot trigger here (inner not closed), so return.
       return;
     }
-    if (!failed && outer_page != nullptr &&
+    if (outer_page != nullptr &&
         !query->failed.load(std::memory_order_relaxed)) {
       if (!hashed) {
         program->HashOuter(*outer_page, &keys);
@@ -704,19 +698,18 @@ void NodeState::RunJoinOuter(OuterWork w) {
         // Each fetched inner page is one broadcast packet (Section 4.2); on
         // a fused inner edge every re-delivery is a fetch that never
         // happens.
-        const PagePtr inner_page = FetchOperand(
-            inner->page, /*count_packet=*/true, "join inner fetch");
-        if (inner_page == nullptr) break;
+        const Page& inner_page =
+            FetchOperand(inner->page, /*count_packet=*/true);
         if (!inner->page.direct) {
           impl->RecordTrace(obs::TraceEventKind::kPacketDelivered, query,
                             node->id, 1,
-                            static_cast<uint64_t>(inner_page->payload_bytes()),
+                            static_cast<uint64_t>(inner_page.payload_bytes()),
                             "broadcast");
         }
         // The pages each page pair fills go to the consumer right after it.
         if (s.ok()) {
-          s = program->Join(*outer_page, keys, *inner_page,
-                            inner->table.get(), &writer, &ctr.kernel);
+          s = program->Join(*outer_page, keys, inner_page, inner->table.get(),
+                            &writer, &ctr.kernel);
         }
         writer.Deliver();
         if (!s.ok()) {
@@ -732,18 +725,13 @@ void NodeState::RunJoinOuter(OuterWork w) {
   TryFinalize();
 }
 
-PagePtr NodeState::FetchOperand(const PendingPage& p, bool count_packet,
-                                const char* context) {
-  if (p.direct) return p.page;
-  auto fetched = impl->buffer()->Fetch(p.id);
-  if (!fetched.ok()) {
-    query->Fail(fetched.status().WithContext(context));
-    return nullptr;
+const Page& NodeState::FetchOperand(const PendingPage& p, bool count_packet) {
+  if (!p.direct) {
+    const int bytes = p.page->payload_bytes();
+    impl->buffer()->Read(p.id, bytes);
+    if (count_packet) CountPacket(static_cast<uint64_t>(bytes));
   }
-  if (count_packet) {
-    CountPacket(static_cast<uint64_t>((*fetched)->payload_bytes()));
-  }
-  return *std::move(fetched);
+  return *p.page;
 }
 
 void NodeState::CountPacket(uint64_t payload_bytes) {
@@ -990,14 +978,16 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
           std::lock_guard<std::mutex> lock(q->result_mu);
           q->result.AddPage(std::move(page));
         } else if (direct) {
-          // Fused edge: the page is handed to the consumer live — the
-          // PutNew/Fetch round trip (and its distribution/arbitration
-          // traffic) is elided.
+          // Fused edge: the page bypasses the buffer hierarchy — its
+          // residency, reads and distribution/arbitration traffic are
+          // elided.
           q->counters.pipeline_pages_elided.fetch_add(
               1, std::memory_order_relaxed);
           parent->OnPage(slot, PendingPage{std::move(page), PageId{}, true});
         } else {
-          const PageId id = buffer_.PutNew(page);
+          // The page becomes resident where it was produced and travels
+          // on by pointer; only its id enters the hierarchy.
+          const PageId id = buffer_.Admit(*page);
           q->RecordIntermediate(id);
           parent->OnPage(slot, PendingPage{std::move(page), id});
         }
@@ -1190,12 +1180,11 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
 
 void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
   q->completed_at = std::chrono::steady_clock::now();
-  // Free intermediate pages (they have been consumed).
+  // Drop the intermediate pages' residency. Their frames went back to the
+  // pool as their last readers retired.
   {
     std::lock_guard<std::mutex> lock(q->interm_mu);
-    for (PageId id : q->intermediates) {
-      (void)buffer_.Discard(id);
-    }
+    for (PageId id : q->intermediates) buffer_.Forget(id);
     q->intermediates.clear();
   }
   // Writer epilogue, in both concurrency modes: a failed writer's

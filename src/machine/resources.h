@@ -4,12 +4,6 @@
 #ifndef DFDB_MACHINE_RESOURCES_H_
 #define DFDB_MACHINE_RESOURCES_H_
 
-#include <cstdint>
-#include <list>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
 #include "common/sim_time.h"
 
 namespace dfdb {
@@ -34,62 +28,6 @@ class SerialResource {
  private:
   SimTime next_free_;
   SimTime busy_;
-};
-
-/// \brief LRU residency set for the shared disk cache: remembers which page
-/// ids are cached, evicting least-recently-used entries beyond capacity.
-class LruPageSet {
- public:
-  explicit LruPageSet(size_t capacity) : capacity_(capacity) {}
-
-  /// Returns true (a hit) and refreshes recency if present.
-  bool Touch(uint64_t id) {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    lru_.erase(it->second);
-    lru_.push_front(id);
-    it->second = lru_.begin();
-    return true;
-  }
-
-  /// Inserts (or refreshes) \p id, evicting if needed.
-  void Insert(uint64_t id) {
-    std::vector<uint64_t> evicted;
-    InsertEvict(id, &evicted);
-  }
-
-  /// Inserts (or refreshes) \p id; LRU victims displaced to make room are
-  /// appended to \p evicted so the caller can account for the write-back.
-  void InsertEvict(uint64_t id, std::vector<uint64_t>* evicted) {
-    if (Touch(id)) return;
-    if (capacity_ == 0) return;
-    while (lru_.size() >= capacity_) {
-      evicted->push_back(lru_.back());
-      index_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(id);
-    index_[id] = lru_.begin();
-  }
-
-  /// Drops \p id (a consumed page frees its frame without traffic).
-  /// Returns true if it was resident.
-  bool Remove(uint64_t id) {
-    auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    lru_.erase(it->second);
-    index_.erase(it);
-    return true;
-  }
-
-  bool Contains(uint64_t id) const { return index_.count(id) > 0; }
-
-  size_t size() const { return lru_.size(); }
-
- private:
-  size_t capacity_;
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
 };
 
 }  // namespace dfdb

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "common/bitvector.h"
 #include "common/hash.h"
@@ -22,6 +21,7 @@
 #include "operators/node_program.h"
 #include "ra/expr_compile.h"
 #include "storage/page_sink.h"
+#include "storage/residency_set.h"
 
 namespace dfdb {
 
@@ -151,8 +151,9 @@ struct InstrRt {
 
 struct IcRt {
   int id = 0;
-  LruPageSet local;
-  IcRt(int id_, size_t capacity) : id(id_), local(capacity) {}
+  /// The IC's local memory: one level.
+  ResidencySet local;
+  IcRt(int id_, int capacity) : id(id_), local({capacity}) {}
 };
 
 /// The whole machine for one Run() call.
@@ -164,7 +165,7 @@ class Sim {
         opt_(options),
         cfg_(options.config),
         prog_(std::move(program)),
-        disk_cache_(static_cast<size_t>(cfg_.disk_cache_pages)),
+        disk_cache_({cfg_.disk_cache_pages}),
         report_(),
         injector_(options.fault_plan),
         trace_(options.enable_trace) {
@@ -180,7 +181,7 @@ class Sim {
     query_snapshots_.resize(num_queries);
     drives_.resize(static_cast<size_t>(std::max(1, cfg_.num_disk_drives)));
     for (int i = 0; i < cfg_.num_instruction_controllers; ++i) {
-      ics_.emplace_back(i, static_cast<size_t>(cfg_.ic_local_memory_pages));
+      ics_.emplace_back(i, cfg_.ic_local_memory_pages);
     }
     for (int i = 0; i < cfg_.num_instruction_processors; ++i) {
       ips_.emplace_back();
@@ -247,35 +248,26 @@ class Sim {
     return drives_[uid % drives_.size()];
   }
 
-  int64_t BytesOf(uint64_t uid) const {
-    auto it = page_sizes_.find(uid);
-    return it != page_sizes_.end() ? it->second
-                                   : static_cast<int64_t>(cfg_.page_bytes);
-  }
-
-  /// Makes \p uid resident in the disk-cache level; victims displaced from
-  /// the cache are written back to a disk drive (time and bytes).
-  void SpillToCache(uint64_t uid) {
-    std::vector<uint64_t> evicted;
-    disk_cache_.InsertEvict(uid, &evicted);
-    for (uint64_t v : evicted) {
-      const int64_t b = BytesOf(v);
+  /// Makes \p uid, of \p bytes payload, resident in the disk-cache level;
+  /// victims displaced from the cache are written back to a disk drive
+  /// (time and bytes).
+  void SpillToCache(uint64_t uid, int64_t bytes) {
+    const auto write_back = [this](uint64_t v, int b) {
       report_.bytes.disk_write += static_cast<uint64_t>(b);
       DriveFor(v).Acquire(eq_.now(), cfg_.disk.SequentialTime(b));
-    }
+    };
+    disk_cache_.Admit(uid, 0, static_cast<int>(bytes), write_back);
   }
 
   /// Inserts \p uid into \p ic's local memory, spilling LRU victims to the
   /// disk cache ("the IC will write the least desirable pages to its
   /// segment of the multiport disk cache", Section 4.1).
   void InsertLocal(IcRt* ic, uint64_t uid, int64_t bytes) {
-    page_sizes_.emplace(uid, bytes);
-    std::vector<uint64_t> evicted;
-    ic->local.InsertEvict(uid, &evicted);
-    for (uint64_t v : evicted) {
-      report_.bytes.ic_to_cache += static_cast<uint64_t>(BytesOf(v));
-      SpillToCache(v);
-    }
+    const auto spill = [this](uint64_t v, int b) {
+      report_.bytes.ic_to_cache += static_cast<uint64_t>(b);
+      SpillToCache(v, b);
+    };
+    ic->local.Admit(uid, 0, static_cast<int>(bytes), spill);
   }
 
   /// Makes page \p uid resident in \p ic's local memory, walking down the
@@ -283,16 +275,16 @@ class Sim {
   /// cache access; a full miss pays a disk access (with drive contention)
   /// plus the cache transfer.
   SimTime EnsureLocal(IcRt* ic, uint64_t uid, int64_t bytes) {
-    if (ic->local.Touch(uid)) return SimTime::Zero();
+    if (ic->local.Touch(uid) != ResidencySet::kAbsent) return SimTime::Zero();
     SimTime delay = CacheStallPenalty();
-    if (disk_cache_.Touch(uid)) {
+    if (disk_cache_.Touch(uid) != ResidencySet::kAbsent) {
       report_.bytes.cache_to_ic += static_cast<uint64_t>(bytes);
       delay += cfg_.cache.AccessTime(bytes);
     } else {
       const SimTime done =
           DriveFor(uid).Acquire(eq_.now(), cfg_.disk.AccessTime(bytes));
       report_.bytes.disk_read += static_cast<uint64_t>(bytes);
-      SpillToCache(uid);
+      SpillToCache(uid, bytes);
       report_.bytes.cache_to_ic += static_cast<uint64_t>(bytes);
       delay += (done - eq_.now()) + cfg_.cache.AccessTime(bytes);
     }
@@ -477,7 +469,7 @@ class Sim {
   SerialResource outer_ring_;
   SerialResource inner_ring_;
   std::vector<SerialResource> drives_;
-  LruPageSet disk_cache_;
+  ResidencySet disk_cache_;
   std::vector<IcRt> ics_;
   std::vector<IpRt> ips_;
   std::vector<InstrRt> instrs_;
@@ -491,8 +483,6 @@ class Sim {
   std::vector<Snapshot> query_snapshots_;
   size_t active_queries_ = 0;
   bool in_reclaim_ = false;
-  /// Byte size per page uid (raw PageIds and staged uids share the space).
-  std::unordered_map<uint64_t, int64_t> page_sizes_;
 
   MachineReport report_;
   Status error_;
@@ -627,7 +617,6 @@ void Sim::StageNextRawPage(int instr_id, int slot,
     return;
   }
   const int64_t bytes = (*raw)->payload_bytes();
-  page_sizes_.emplace(raw_id, bytes);
   PagePtr page = *std::move(raw);
   // Near-data pushdown: the compiled restrict runs at the cache port. The
   // filter logic streams the whole page, but only survivors cross into IC
@@ -647,7 +636,7 @@ void Sim::StageNextRawPage(int instr_id, int slot,
     report_.pushdown.bytes_elided += static_cast<uint64_t>(bytes - transfer);
   }
   SimTime arrival;
-  if (disk_cache_.Touch(raw_id)) {
+  if (disk_cache_.Touch(raw_id) != ResidencySet::kAbsent) {
     // Disk-cache hit: only the cache -> IC transfer.
     report_.bytes.cache_to_ic += static_cast<uint64_t>(transfer);
     arrival = eq_.now() +
@@ -668,7 +657,7 @@ void Sim::StageNextRawPage(int instr_id, int slot,
         position ? cfg_.disk.AccessTime(bytes) : cfg_.disk.SequentialTime(bytes);
     const SimTime disk_done = drive.Acquire(eq_.now(), service);
     report_.bytes.disk_read += static_cast<uint64_t>(bytes);
-    SpillToCache(raw_id);
+    SpillToCache(raw_id, bytes);
     report_.bytes.cache_to_ic += static_cast<uint64_t>(transfer);
     arrival = disk_done +
               (pushed ? cfg_.cache.FilteredAccessTime(bytes, transfer)
@@ -1065,7 +1054,7 @@ void Sim::SendUnaryPacket(int instr_id, int ip_id, int slot, size_t unit_idx) {
   report_.instruction_packets++;
   if (parts > 1 && partition == 0) report_.broadcasts++;
   // The page leaves the IC's working set once its last unit is dispatched.
-  if (!staged.at_ip && partition == parts - 1) ic.local.Remove(staged.uid);
+  if (!staged.at_ip && partition == parts - 1) ic.local.Forget(staged.uid);
 
   const int64_t wire = page_rides ? UnaryPacketWire(payload) : kInstrHeaderBytes;
   IpRt::PendingAssign a;
@@ -1171,7 +1160,7 @@ void Sim::SendJoinAssign(int instr_id, int ip_id, size_t outer_idx,
     fetch_delay += EnsureLocal(&ic, inner_op.pages[*first_inner].uid,
                                inner_payload);
   }
-  if (!direct_outer) ic.local.Remove(outer.uid);
+  if (!direct_outer) ic.local.Forget(outer.uid);
 
   ip.busy = true;  // Busy until the assignment lands.
   ip.has_outer = true;
@@ -1489,7 +1478,6 @@ void Sim::DeliverResult(int producer_instr, PagePtr page) {
     InstrRt& ir = instrs_[static_cast<size_t>(def.consumer)];
     OperandRt& op = ir.operands[static_cast<size_t>(def.consumer_slot)];
     StagedPage staged{std::move(page), NextUid(), /*at_ip=*/true};
-    page_sizes_.emplace(staged.uid, staged.page->payload_bytes());
     op.pages.push_back(std::move(staged));
     if (ir.phase == InstrPhase::kWaiting) {
       TryStart(def.consumer);
@@ -1602,7 +1590,7 @@ void Sim::FinishInstr(int instr_id) {
   IcRt& ic = ics_[static_cast<size_t>(ir.ic)];
   for (OperandRt& op : ir.operands) {
     for (StagedPage& p : op.pages) {
-      ic.local.Remove(p.uid);
+      ic.local.Forget(p.uid);
     }
   }
 

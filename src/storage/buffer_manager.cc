@@ -1,7 +1,5 @@
 #include "storage/buffer_manager.h"
 
-#include <vector>
-
 #include "common/logging.h"
 
 namespace dfdb {
@@ -9,8 +7,7 @@ namespace dfdb {
 BufferManager::BufferManager(PageStore* store, int local_capacity_pages,
                              int cache_capacity_pages)
     : store_(store),
-      local_capacity_(local_capacity_pages),
-      cache_capacity_(cache_capacity_pages) {
+      residency_({local_capacity_pages, cache_capacity_pages}) {
   DFDB_CHECK(store != nullptr);
   DFDB_CHECK(local_capacity_pages >= 1);
   DFDB_CHECK(cache_capacity_pages >= 1);
@@ -19,36 +16,32 @@ BufferManager::BufferManager(PageStore* store, int local_capacity_pages,
 StatusOr<PagePtr> BufferManager::Fetch(PageId id) {
   auto page = store_->Get(id);
   if (!page.ok()) return page.status();
-  const int bytes = (*page)->payload_bytes();
+  Read(id, (*page)->payload_bytes());
+  return page;
+}
 
+void BufferManager::Read(PageId id, int bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id);
-  if (it != entries_.end() && it->second.level == Level::kLocal) {
-    stats_.local_hits++;
-    // Refresh LRU position.
-    local_lru_.erase(it->second.lru_it);
-    local_lru_.push_front(id);
-    it->second.lru_it = local_lru_.begin();
-    return *page;
+  switch (residency_.Touch(id)) {
+    case kLocal:
+      // Touching refreshed its LRU position.
+      stats_.local_hits++;
+      return;
+    case kCache:
+      // Cache hit: transfer cache -> local.
+      stats_.cache_reads++;
+      stats_.cache_read_bytes += static_cast<uint64_t>(bytes);
+      break;
+    default:
+      // Miss: disk -> cache -> local. The cache residency is transient (the
+      // page streams through), so we charge disk->cache and cache->local
+      // and land it in local memory.
+      stats_.disk_reads++;
+      stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
+      stats_.cache_reads++;
+      stats_.cache_read_bytes += static_cast<uint64_t>(bytes);
   }
-  if (it != entries_.end() && it->second.level == Level::kCache) {
-    // Cache hit: transfer cache -> local.
-    stats_.cache_reads++;
-    stats_.cache_read_bytes += static_cast<uint64_t>(bytes);
-    cache_lru_.erase(it->second.lru_it);
-    entries_.erase(it);
-    InsertLocalLocked(id, bytes);
-    return *page;
-  }
-  // Miss: disk -> cache -> local. The cache residency is transient (the
-  // page streams through), so we charge disk->cache and cache->local and
-  // land it in local memory.
-  stats_.disk_reads++;
-  stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
-  stats_.cache_reads++;
-  stats_.cache_read_bytes += static_cast<uint64_t>(bytes);
-  InsertLocalLocked(id, bytes);
-  return *page;
+  AdmitLocalLocked(id, bytes);
 }
 
 Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
@@ -68,36 +61,34 @@ Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
       survivors * static_cast<uint64_t>((*page)->tuple_width());
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id);
-  if (it != entries_.end() && it->second.level == Level::kLocal) {
-    // Already in local memory: nothing to elide, the filter just saves
-    // the consumer a pass. Refresh LRU like a plain fetch.
-    stats_.local_hits++;
-    local_lru_.erase(it->second.lru_it);
-    local_lru_.push_front(id);
-    it->second.lru_it = local_lru_.begin();
-  } else if (it != entries_.end() && it->second.level == Level::kCache) {
-    // Filter at the cache: only survivors occupy the port. The raw page
-    // stays cache-resident — survivors, not the page, move up.
-    stats_.cache_reads++;
-    stats_.cache_read_bytes += surviving_bytes;
-    cache_lru_.erase(it->second.lru_it);
-    cache_lru_.push_front(id);
-    it->second.lru_it = cache_lru_.begin();
-    if (counters != nullptr) {
-      counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
-    }
-  } else {
-    // Absent: the drive cannot filter, so the raw page streams into the
-    // cache in full and the program runs there.
-    stats_.disk_reads++;
-    stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
-    stats_.cache_reads++;
-    stats_.cache_read_bytes += surviving_bytes;
-    InsertCacheLocked(id, bytes);
-    if (counters != nullptr) {
-      counters->bytes_elided += static_cast<uint64_t>(bytes) - surviving_bytes;
-    }
+  switch (residency_.Touch(id)) {
+    case kLocal:
+      // Already in local memory: nothing to elide, the filter just saves
+      // the consumer a pass. Touching refreshed it like a plain read.
+      stats_.local_hits++;
+      break;
+    case kCache:
+      // Filter at the cache: only survivors occupy the port. The raw page
+      // stays cache-resident (refreshed) — survivors, not the page, move up.
+      stats_.cache_reads++;
+      stats_.cache_read_bytes += surviving_bytes;
+      if (counters != nullptr) {
+        counters->bytes_elided +=
+            static_cast<uint64_t>(bytes) - surviving_bytes;
+      }
+      break;
+    default:
+      // Absent: the drive cannot filter, so the raw page streams into the
+      // cache in full and the program runs there.
+      stats_.disk_reads++;
+      stats_.disk_read_bytes += static_cast<uint64_t>(bytes);
+      stats_.cache_reads++;
+      stats_.cache_read_bytes += surviving_bytes;
+      AdmitCacheLocked(id, bytes);
+      if (counters != nullptr) {
+        counters->bytes_elided +=
+            static_cast<uint64_t>(bytes) - surviving_bytes;
+      }
   }
   if (counters != nullptr) {
     counters->pages_filtered++;
@@ -107,34 +98,25 @@ Status BufferManager::ReadFiltered(PageId id, const PushdownFilter& filter,
   return Status::OK();
 }
 
-PageId BufferManager::PutNew(PagePtr page) {
-  const int bytes = page->payload_bytes();
-  const PageId id = store_->Put(std::move(page));
+PageId BufferManager::Admit(const Page& page) {
+  const PageId id = store_->NewId();
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocalLocked(id, bytes);
+  AdmitLocalLocked(id, page.payload_bytes());
   return id;
 }
 
-Status BufferManager::Discard(PageId id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it != entries_.end()) {
-      if (it->second.level == Level::kLocal) {
-        local_lru_.erase(it->second.lru_it);
-      } else if (it->second.level == Level::kCache) {
-        cache_lru_.erase(it->second.lru_it);
-      }
-      entries_.erase(it);
-    }
-  }
-  return store_->Free(id);
+void BufferManager::Forget(PageId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  residency_.Forget(id);
 }
 
 void BufferManager::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  while (!local_lru_.empty()) EvictFromLocalLocked();
-  while (!cache_lru_.empty()) EvictFromCacheLocked();
+  residency_.Drain(kLocal, [this](PageId victim, int bytes) {
+    SpillLocalLocked(victim, bytes);
+  });
+  residency_.Drain(kCache,
+                   [this](PageId, int bytes) { SpillCacheLocked(bytes); });
 }
 
 BufferStats BufferManager::stats() const {
@@ -149,60 +131,39 @@ void BufferManager::ResetStats() {
 
 int BufferManager::local_resident_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(local_lru_.size());
+  return residency_.size(kLocal);
 }
 
 int BufferManager::cache_resident_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(cache_lru_.size());
+  return residency_.size(kCache);
 }
 
-void BufferManager::InsertLocalLocked(PageId id, int bytes) {
-  while (static_cast<int>(local_lru_.size()) >= local_capacity_) {
-    EvictFromLocalLocked();
-  }
-  local_lru_.push_front(id);
-  entries_[id] = Entry{Level::kLocal, bytes, local_lru_.begin()};
+void BufferManager::AdmitLocalLocked(PageId id, int bytes) {
+  residency_.Admit(id, kLocal, bytes, [this](PageId victim, int victim_bytes) {
+    SpillLocalLocked(victim, victim_bytes);
+  });
 }
 
-void BufferManager::InsertCacheLocked(PageId id, int bytes) {
-  while (static_cast<int>(cache_lru_.size()) >= cache_capacity_) {
-    EvictFromCacheLocked();
-  }
-  cache_lru_.push_front(id);
-  entries_[id] = Entry{Level::kCache, bytes, cache_lru_.begin()};
+void BufferManager::AdmitCacheLocked(PageId id, int bytes) {
+  residency_.Admit(id, kCache, bytes, [this](PageId, int victim_bytes) {
+    SpillCacheLocked(victim_bytes);
+  });
 }
 
-void BufferManager::EvictFromLocalLocked() {
-  if (local_lru_.empty()) return;
-  const PageId victim = local_lru_.back();
-  local_lru_.pop_back();
-  auto it = entries_.find(victim);
-  DFDB_CHECK(it != entries_.end());
-  const int bytes = it->second.bytes;
+void BufferManager::SpillLocalLocked(PageId victim, int bytes) {
   // Writeback local -> cache ("the IC will write the least desirable pages
   // to its segment of the multiport disk cache", Section 4.1).
   stats_.cache_writes++;
   stats_.cache_write_bytes += static_cast<uint64_t>(bytes);
-  while (static_cast<int>(cache_lru_.size()) >= cache_capacity_) {
-    EvictFromCacheLocked();
-  }
-  cache_lru_.push_front(victim);
-  it->second.level = Level::kCache;
-  it->second.lru_it = cache_lru_.begin();
+  AdmitCacheLocked(victim, bytes);
 }
 
-void BufferManager::EvictFromCacheLocked() {
-  if (cache_lru_.empty()) return;
-  const PageId victim = cache_lru_.back();
-  cache_lru_.pop_back();
-  auto it = entries_.find(victim);
-  DFDB_CHECK(it != entries_.end());
+void BufferManager::SpillCacheLocked(int bytes) {
   // Writeback cache -> disk ("when an IC fills its segment of the disk
   // cache, pages will be swapped out to disk").
   stats_.disk_writes++;
-  stats_.disk_write_bytes += static_cast<uint64_t>(it->second.bytes);
-  entries_.erase(it);
+  stats_.disk_write_bytes += static_cast<uint64_t>(bytes);
 }
 
 }  // namespace dfdb

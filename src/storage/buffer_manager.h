@@ -4,31 +4,33 @@
 /// "Thus, the IC local memory, the disk cache, and the mass storage devices
 /// form a three-level storage hierarchy." The BufferManager tracks page
 /// *residency* in the two upper levels (the PageStore is the always-valid
-/// mass-storage level) and accounts for every byte that crosses a level
-/// boundary. Those byte counters are what Figure 4.2 plots.
+/// mass-storage level of base relations) and accounts for every byte that
+/// crosses a level boundary. Those byte counters are what Figure 4.2 plots.
 
 #ifndef DFDB_STORAGE_BUFFER_MANAGER_H_
 #define DFDB_STORAGE_BUFFER_MANAGER_H_
 
 #include <cstdint>
-#include <list>
 #include <mutex>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "obs/counters.h"
 #include "storage/page_sink.h"
 #include "storage/page_store.h"
 #include "storage/pushdown.h"
+#include "storage/residency_set.h"
 
 namespace dfdb {
 
 /// \brief LRU-managed two-level cache over a PageStore.
 ///
 /// Level 0 ("local memory") and level 1 ("disk cache") have fixed capacities
-/// in pages. A fetch promotes the page to level 0; eviction cascades
+/// in pages. A read promotes the page to level 0; eviction cascades
 /// 0 -> 1 -> gone (mass storage always holds the bytes). Newly produced
 /// pages enter at level 0 (they were just materialized by a processor).
+///
+/// Residency lives in one ResidencySet under one mutex, so tracking a page
+/// allocates nothing.
 class BufferManager {
  public:
   /// \p local_capacity_pages and \p cache_capacity_pages must be >= 1.
@@ -36,8 +38,15 @@ class BufferManager {
                 int cache_capacity_pages);
   DFDB_DISALLOW_COPY(BufferManager);
 
-  /// Fetches a page through the hierarchy, counting transfers.
+  /// Fetches a base page from the store through the hierarchy, counting
+  /// transfers as Read() does.
   StatusOr<PagePtr> Fetch(PageId id);
+
+  /// Counts the transfers that bring page \p id, of \p bytes payload, into
+  /// local memory, for a caller that already holds the page: none on a
+  /// local hit, cache -> local on a cache hit, disk -> cache -> local on a
+  /// miss.
+  void Read(PageId id, int bytes);
 
   /// Near-data read: applies \p filter to the page *at the level where it
   /// resides* and writes only survivors through \p writer, so the
@@ -50,13 +59,15 @@ class BufferManager {
   Status ReadFiltered(PageId id, const PushdownFilter& filter,
                       PagePacker::Writer* writer, PushdownCounters* counters);
 
-  /// Registers a freshly produced page: stores it in mass storage's map
-  /// (logical home), makes it resident in local memory, and returns its id.
-  /// No transfer is counted until it is evicted or re-fetched.
-  PageId PutNew(PagePtr page);
+  /// Makes a freshly produced page resident in local memory and returns
+  /// its id, drawn from the store's counter so it cannot collide with a
+  /// base page. Nothing is stored: the producer hands the page itself to
+  /// its consumer, which charges its reads by id. No transfer is counted
+  /// until the page is evicted or read.
+  PageId Admit(const Page& page);
 
-  /// Drops residency everywhere and frees the page from the store.
-  Status Discard(PageId id);
+  /// Drops \p id's residency; a no-op when neither level holds it.
+  void Forget(PageId id);
 
   /// Evicts everything from both levels (counting writebacks), e.g. between
   /// benchmark phases.
@@ -69,28 +80,20 @@ class BufferManager {
   int cache_resident_pages() const;
 
  private:
-  enum class Level { kLocal, kCache, kNone };
-
-  struct Entry {
-    Level level;
-    int bytes;
-    std::list<PageId>::iterator lru_it;
-  };
+  enum Level { kLocal = 0, kCache = 1 };
 
   // All private helpers require mu_ held.
-  void InsertLocalLocked(PageId id, int bytes);
-  void InsertCacheLocked(PageId id, int bytes);
-  void EvictFromLocalLocked();
-  void EvictFromCacheLocked();
+  void AdmitLocalLocked(PageId id, int bytes);
+  void AdmitCacheLocked(PageId id, int bytes);
+  /// A local-memory victim is written back to the disk cache.
+  void SpillLocalLocked(PageId victim, int bytes);
+  /// A disk-cache victim is written back to mass storage.
+  void SpillCacheLocked(int bytes);
 
   PageStore* store_;
-  const int local_capacity_;
-  const int cache_capacity_;
 
   mutable std::mutex mu_;
-  std::unordered_map<PageId, Entry> entries_;
-  std::list<PageId> local_lru_;  // Front = most recent.
-  std::list<PageId> cache_lru_;
+  ResidencySet residency_;
   BufferStats stats_;
 };
 

@@ -48,9 +48,10 @@ struct FramePoolStats {
 class FramePool {
  public:
   /// The most memory free frames keep, counting each frame's payload and
-  /// header: about three times the peak of perfbench's paper10_engine
-  /// workload, the paper's ten queries at 16 KB pages (some 700 frames live
-  /// at once).
+  /// header: about twice the peak of perfbench's paper10_engine workload,
+  /// the paper's ten queries at 16 KB pages. Its simulator runs reach some
+  /// 870 frames live at once; its engine batches some 430, since an
+  /// intermediate page's frame returns as soon as its readers are done.
   static constexpr size_t kMaxFreeBytes = size_t{32} << 20;
 
   FramePool();

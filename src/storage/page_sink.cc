@@ -80,8 +80,33 @@ Status PagePacker::EmitPage(const PagePtr& page) {
     on_page_(page);
     return Status::OK();
   }
-  for (int i = 0; i < page->num_tuples(); ++i) {
-    DFDB_RETURN_IF_ERROR(Emit(page->tuple(i)));
+  // Otherwise the tuples go in runs, one lock and one copy per frame: each
+  // run fills the last free partial page, or a fresh frame, as emitting
+  // them one by one would.
+  const int n = page->num_tuples();
+  for (int next = 0; next < n;) {
+    std::unique_ptr<Page> sealed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) return Status::FailedPrecondition("page packer is closed");
+      if (partial_.empty()) {
+        DFDB_ASSIGN_OR_RETURN(std::unique_ptr<Page> frame, NewFrame());
+        partial_.push_back(std::move(frame));
+      }
+      Page* open = partial_.back().get();
+      const int take =
+          std::min(n - next, open->capacity_tuples() - open->num_tuples());
+      DFDB_RETURN_IF_ERROR(open->AppendRun(
+          Slice(page->tuple(next).data(),
+                static_cast<size_t>(take) * static_cast<size_t>(tuple_width_))));
+      next += take;
+      tuples_emitted_ += static_cast<uint64_t>(take);
+      if (open->full()) {
+        sealed = std::move(partial_.back());
+        partial_.pop_back();
+      }
+    }
+    if (sealed != nullptr) on_page_(frames_.Seal(std::move(sealed)));
   }
   return Status::OK();
 }

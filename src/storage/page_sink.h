@@ -83,8 +83,10 @@ class PagePacker final : public PageSink {
 
   /// Adds a whole page. A full page of exactly the unit passes through
   /// unchanged when no partial page is free (base pages stay intact under
-  /// page granularity); any other page is packed tuple by tuple.
-  /// InvalidArgument when its tuple width differs.
+  /// page granularity); any other page is copied in runs, each filling
+  /// the last free partial page or a fresh frame, into the pages that
+  /// emitting its tuples one by one would seal. InvalidArgument when its
+  /// tuple width differs.
   Status EmitPage(const PagePtr& page);
 
   /// Compresses the free partial pages into full pages and seals them all,

@@ -5,8 +5,8 @@
 namespace dfdb {
 
 PageId PageStore::Put(PagePtr page) {
+  const PageId id = NewId();
   std::lock_guard<std::mutex> lock(mu_);
-  const PageId id = next_id_++;
   stats_.pages_written++;
   stats_.bytes_written += static_cast<uint64_t>(page->payload_bytes());
   pages_.emplace(id, std::move(page));

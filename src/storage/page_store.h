@@ -37,10 +37,15 @@ class PageStore {
   /// Stores \p page and returns its new id.
   PageId Put(PagePtr page);
 
+  /// A new id that no stored page has or will have, for a page tracked
+  /// elsewhere (the buffer hierarchy's residency of an intermediate page,
+  /// which never enters the store).
+  PageId NewId() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
+
   /// Fetches a page; NotFound if the id was never stored or was freed.
   StatusOr<PagePtr> Get(PageId id) const;
 
-  /// Releases a page (intermediate results are freed once consumed).
+  /// Releases a page that no relation version references any more.
   Status Free(PageId id);
 
   /// Number of live pages.
@@ -52,7 +57,7 @@ class PageStore {
  private:
   mutable std::mutex mu_;
   std::unordered_map<PageId, PagePtr> pages_;
-  PageId next_id_ = 1;
+  std::atomic<PageId> next_id_{1};
   // Read counters advance inside const Get(); statistics are not part of
   // the store's logical state.
   mutable PageStoreStats stats_;

@@ -81,29 +81,6 @@ TEST(SerialResourceTest, SerializesOverlappingJobs) {
   EXPECT_EQ(r.busy_time(), SimTime::Millis(14));
 }
 
-TEST(LruPageSetTest, TouchInsertEvict) {
-  LruPageSet lru(2);
-  lru.Insert(1);
-  lru.Insert(2);
-  EXPECT_TRUE(lru.Touch(1));  // 1 becomes MRU.
-  std::vector<uint64_t> evicted;
-  lru.InsertEvict(3, &evicted);
-  EXPECT_EQ(evicted, (std::vector<uint64_t>{2}));
-  EXPECT_TRUE(lru.Contains(1));
-  EXPECT_FALSE(lru.Contains(2));
-  EXPECT_TRUE(lru.Contains(3));
-  EXPECT_TRUE(lru.Remove(1));
-  EXPECT_FALSE(lru.Remove(1));
-  EXPECT_EQ(lru.size(), 1u);
-}
-
-TEST(LruPageSetTest, ZeroCapacityHoldsNothing) {
-  LruPageSet lru(0);
-  lru.Insert(1);
-  EXPECT_FALSE(lru.Contains(1));
-  EXPECT_EQ(lru.size(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Instruction compilation
 // ---------------------------------------------------------------------------

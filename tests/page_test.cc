@@ -603,8 +603,9 @@ TEST(FramePoolTest, ResultPagesReturnTheirFramesAndOutliveTheirEngine) {
                  *MakeRestrict(MakeScan("r"), Lt(Col("k10"), Lit(5))), opts));
     pages = result.pages();
   }
-  // The scheduler is gone and its intermediates are discarded: the result
-  // pages hold the only frames still out.
+  // Each intermediate page's frame came back when the task that read it
+  // retired, and the scheduler is gone: the result pages hold the only
+  // frames still out.
   ASSERT_GT(pages.size(), 2u);
   EXPECT_EQ(storage->frame_pool().stats().live, pages.size());
   for (const PagePtr& page : pages) bytes.push_back(page->Serialize());

@@ -351,20 +351,44 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
   // the result pages are pinned to literal values at both granularities: a
   // change to how outputs are packed must leave them untouched, not merely
   // repeatable. 1 KB units seal many pages per edge, so the pin covers
-  // packing across page boundaries, not just single-page outputs.
+  // packing across page boundaries, not just single-page outputs. The
+  // buffer hierarchy's traffic is pinned too, with levels small enough that
+  // both spill, so a change to how pages are tracked there must charge
+  // every transfer and write-back as before.
   struct Golden {
     Granularity granularity;
     uint64_t pages_produced, tuples_produced, packets, arbitration_bytes,
         distribution_bytes, tasks_executed, scan_throttle_yields,
         pipeline_pages_elided, result_fnv;
+    BufferStats buffer;
   };
   const Golden goldens[] = {
       {Granularity::kPage, 159, 1180, 89, 66600, 11100, 338, 868, 65,
-       0xb9394f984854f8dbULL},
+       0xb9394f984854f8dbULL,
+       BufferStats{.disk_read_bytes = 397500,
+                   .disk_write_bytes = 394400,
+                   .disk_reads = 110,
+                   .disk_writes = 146,
+                   .cache_read_bytes = 75500,
+                   .cache_write_bytes = 71700,
+                   .cache_reads = 148,
+                   .cache_writes = 81,
+                   .local_hits = 80}},
       {Granularity::kRelation, 159, 1180, 89, 66600, 11100, 287, 88, 65,
-       0x5f655557cf438e67ULL},
+       0x5f655557cf438e67ULL,
+       BufferStats{.disk_read_bytes = 392200,
+                   .disk_write_bytes = 404500,
+                   .disk_reads = 141,
+                   .disk_writes = 179,
+                   .cache_read_bytes = 121700,
+                   .cache_write_bytes = 114700,
+                   .cache_reads = 208,
+                   .cache_writes = 142,
+                   .local_hits = 13}},
   };
   eopts.page_bytes = 1024;
+  eopts.local_memory_pages = 4;
+  eopts.disk_cache_pages = 16;
   for (const Golden& want : goldens) {
     SCOPED_TRACE(std::string(GranularityToString(want.granularity)));
     eopts.granularity = want.granularity;
@@ -390,6 +414,10 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
     EXPECT_EQ(stats.scan_throttle_yields, want.scan_throttle_yields);
     EXPECT_EQ(stats.pipeline_pages_elided, want.pipeline_pages_elided);
     EXPECT_EQ(fnv, want.result_fnv);
+    for (const auto& field : BufferStats::Fields()) {
+      EXPECT_EQ(stats.buffer.*field.member, want.buffer.*field.member)
+          << "storage." << field.key;
+    }
   }
 }
 

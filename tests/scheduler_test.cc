@@ -421,5 +421,38 @@ TEST_F(SchedulerTest, ThrottledScanStepsAreNotCountedAsTasks) {
   EXPECT_GT(yields[0], yields[2]);
 }
 
+TEST_F(SchedulerTest, MaterializedIntermediatesTravelByPointer) {
+  // Every edge materialized, and half-size units: each base page is
+  // repacked into pool frames, so every page the query produces,
+  // intermediate or result, is a frame of the storage engine's pool.
+  ExecOptions opts = Options(1);
+  opts.page_bytes = 500;
+  opts.pipeline = PipelinePolicy::kForceMaterialize;
+  auto plan = MakeJoin(
+      MakeProject(MakeScan("beta"), {"k100", "k10"}),
+      MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(100))),
+      Eq(Col("k100"), RightCol("k100")));
+  const uint64_t written = storage_->page_store().stats().pages_written;
+  Scheduler scheduler(storage_.get(), opts);
+  ASSERT_OK_AND_ASSIGN(QueryHandle handle, scheduler.Submit(*plan));
+  ASSERT_OK_AND_ASSIGN(QueryResult result, handle.Wait());
+  scheduler.Shutdown();
+  const FramePoolStats frames = storage_->frame_pool().stats();
+
+  const ExecStats& stats = result.stats();
+  EXPECT_EQ(stats.pipeline_materialized_edges, 2u);
+  EXPECT_GT(stats.packets, 0u);
+  // The intermediate pages never entered the store...
+  EXPECT_EQ(storage_->page_store().stats().pages_written, written);
+  // ...and each returned its frame once its last reader retired, so far
+  // fewer frames were ever live at once than pages were produced.
+  EXPECT_GT(frames.created, 0u);
+  EXPECT_LT(frames.peak_live, stats.pages_produced);
+
+  ReferenceExecutor reference(storage_.get());
+  ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+  ExpectSameResult(expected, result);
+}
+
 }  // namespace
 }  // namespace dfdb

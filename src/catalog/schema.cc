@@ -1,19 +1,33 @@
 #include "catalog/schema.h"
 
-#include <unordered_set>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace dfdb {
 
+namespace {
+
+/// True when one of the first \p n columns is named \p name. Schemas hold
+/// a few dozen columns at most, so a linear scan beats building a set.
+bool NameTaken(const std::vector<Column>& columns, size_t n,
+               std::string_view name) {
+  for (size_t i = 0; i < n; ++i) {
+    if (columns[i].name == name) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 StatusOr<Schema> Schema::Create(std::vector<Column> columns) {
-  std::unordered_set<std::string> names;
-  for (const Column& c : columns) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Column& c = columns[i];
     if (c.name.empty()) {
       return Status::InvalidArgument("column name must be non-empty");
     }
-    if (!names.insert(c.name).second) {
+    if (NameTaken(columns, i, c.name)) {
       return Status::InvalidArgument("duplicate column name: " + c.name);
     }
     if (c.type == ColumnType::kChar) {
@@ -58,31 +72,35 @@ StatusOr<int> Schema::ColumnIndex(std::string_view name) const {
 }
 
 StatusOr<Schema> Schema::Project(const std::vector<int>& indices) const {
+  if (indices.empty()) {
+    return Status::InvalidArgument("schema must have at least one column");
+  }
   std::vector<Column> cols;
   cols.reserve(indices.size());
-  std::unordered_set<std::string> seen;
   for (int i : indices) {
     if (i < 0 || i >= num_columns()) {
       return Status::OutOfRange(StrFormat("column index %d out of range", i));
     }
     Column c = columns_[static_cast<size_t>(i)];
     // Disambiguate duplicates so the result is a valid schema.
-    while (!seen.insert(c.name).second) c.name += "_dup";
+    while (NameTaken(cols, cols.size(), c.name)) c.name += "_dup";
     cols.push_back(std::move(c));
   }
-  return Schema::Create(std::move(cols));
+  // Names are unique by construction and widths come from this schema.
+  return Schema(std::move(cols));
 }
 
 Schema Schema::Concat(const Schema& other, std::string_view suffix) const {
-  std::vector<Column> cols = columns_;
-  std::unordered_set<std::string> names;
-  for (const Column& c : cols) names.insert(c.name);
+  std::vector<Column> cols;
+  cols.reserve(columns_.size() + other.columns_.size());
+  cols.insert(cols.end(), columns_.begin(), columns_.end());
   for (const Column& c : other.columns_) {
     Column copy = c;
-    while (!names.insert(copy.name).second) copy.name += suffix;
+    while (NameTaken(cols, cols.size(), copy.name)) copy.name += suffix;
     cols.push_back(std::move(copy));
   }
-  return Schema::CreateOrDie(std::move(cols));
+  // Both inputs are valid schemas and the loop keeps names unique.
+  return Schema(std::move(cols));
 }
 
 std::string Schema::ToString() const {

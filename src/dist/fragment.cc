@@ -141,9 +141,11 @@ StatusOr<FragmentPlanner::Stream> FragmentPlanner::BuildScan(
 
 StatusOr<FragmentPlanner::Stream> FragmentPlanner::BuildJoin(
     const PlanNode& node) {
-  DFDB_ASSIGN_OR_RETURN(Stream l, BuildStream(node.child(0)));
-  DFDB_ASSIGN_OR_RETURN(Stream r, BuildStream(node.child(1)));
-  DFDB_ASSIGN_OR_RETURN(std::string pred, ExprToRaql(*node.predicate));
+  // A join the optimizer swapped is composed as the join it replaced, so
+  // the text yields node.output_schema's columns.
+  DFDB_ASSIGN_OR_RETURN(Stream l, BuildStream(node.join_left()));
+  DFDB_ASSIGN_OR_RETURN(Stream r, BuildStream(node.join_right()));
+  DFDB_ASSIGN_OR_RETURN(std::string pred, ExprToRaql(*node.join_predicate()));
 
   auto compose = [&](std::string key) {
     Stream out;
@@ -278,13 +280,6 @@ StatusOr<FragmentPlanner::Stream> FragmentPlanner::BuildAggregate(
 
 StatusOr<FragmentPlanner::Stream> FragmentPlanner::BuildProject(
     const PlanNode& node) {
-  for (size_t i = 0; i < node.project_aliases.size(); ++i) {
-    if (!node.project_aliases[i].empty() &&
-        node.project_aliases[i] != node.columns[i]) {
-      return Status::InvalidArgument(
-          "cannot distribute: project aliases are not expressible in RAQL");
-    }
-  }
   DFDB_ASSIGN_OR_RETURN(Stream c, BuildStream(node.child(0)));
 
   auto compose = [&](bool dedup, std::string key) {

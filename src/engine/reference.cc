@@ -98,17 +98,19 @@ class Evaluator {
       case PlanOp::kJoin: {
         DFDB_ASSIGN_OR_RETURN(Materialized outer, Eval(n.child(0)));
         DFDB_ASSIGN_OR_RETURN(Materialized inner, Eval(n.child(1)));
+        const JoinEmit emit = n.join_emit();
         int oc = -1, ic = -1;
         if (use_sort_merge_ &&
             ExtractEquiJoinColumns(*n.predicate, &oc, &ic)) {
           DFDB_RETURN_IF_ERROR(SortMergeJoin(outer.schema, outer.pages, oc,
                                              inner.schema, inner.pages, ic,
-                                             &sink));
+                                             &sink, emit));
         } else {
           for (const PagePtr& op : outer.pages) {
             for (const PagePtr& ip : inner.pages) {
               DFDB_RETURN_IF_ERROR(JoinPages(outer.schema, inner.schema,
-                                             *n.predicate, *op, *ip, &sink));
+                                             *n.predicate, *op, *ip, &sink,
+                                             emit));
             }
           }
         }

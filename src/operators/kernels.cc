@@ -119,7 +119,8 @@ void HashOuterKeys(const CompiledJoinPredicate& pred, const Page& outer,
 
 Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
                  const JoinScratch& scratch, const Page& inner,
-                 const JoinTable* table, PageSink* out, KernelStats* stats) {
+                 const JoinTable* table, PageSink* out, KernelStats* stats,
+                 JoinEmit emit) {
   if (table == nullptr) {
     if (stats != nullptr) CountRelaxed(&stats->nested_joins);
     for (int i = 0; i < outer.num_tuples(); ++i) {
@@ -127,8 +128,8 @@ Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
       for (int j = 0; j < inner.num_tuples(); ++j) {
         const Slice inner_tuple = inner.tuple(j);
         if (pred.Matches(outer_tuple.data(), inner_tuple.data())) {
-          const Slice parts[2] = {outer_tuple, inner_tuple};
-          DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
+          DFDB_RETURN_IF_ERROR(
+              EmitJoined(out, emit, outer_tuple, inner_tuple));
         }
       }
     }
@@ -160,8 +161,8 @@ Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
              j = table->next[static_cast<size_t>(j)]) {
           const Slice inner_tuple = inner.tuple(j);
           if (pred.ResidualMatches(ot, inner_tuple.data())) {
-            const Slice parts[2] = {outer_tuple, inner_tuple};
-            DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
+            DFDB_RETURN_IF_ERROR(
+                EmitJoined(out, emit, outer_tuple, inner_tuple));
           }
         }
         break;
@@ -330,15 +331,15 @@ Status ProjectPage(const Schema& schema, const std::vector<int>& indices,
 
 Status JoinPages(const Schema& outer_schema, const Schema& inner_schema,
                  const Expr& pred, const Page& outer, const Page& inner,
-                 PageSink* out) {
+                 PageSink* out, JoinEmit emit) {
   for (int i = 0; i < outer.num_tuples(); ++i) {
     TupleView outer_view(&outer_schema, outer.tuple(i));
     for (int j = 0; j < inner.num_tuples(); ++j) {
       TupleView inner_view(&inner_schema, inner.tuple(j));
       DFDB_ASSIGN_OR_RETURN(bool match, pred.EvalBool(outer_view, &inner_view));
       if (match) {
-        const Slice parts[2] = {outer.tuple(i), inner.tuple(j)};
-        DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
+        DFDB_RETURN_IF_ERROR(
+            EmitJoined(out, emit, outer.tuple(i), inner.tuple(j)));
       }
     }
   }
@@ -347,14 +348,16 @@ Status JoinPages(const Schema& outer_schema, const Schema& inner_schema,
 
 Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
                  const Page& inner, JoinScratch* scratch, PageSink* out,
-                 KernelStats* stats) {
+                 KernelStats* stats, JoinEmit emit) {
   if (!pred.hash_eligible() || scratch == nullptr) {
     const JoinScratch none;
-    return ProbeJoin(pred, outer, none, inner, /*table=*/nullptr, out, stats);
+    return ProbeJoin(pred, outer, none, inner, /*table=*/nullptr, out, stats,
+                     emit);
   }
   BuildJoinTable(pred, inner, &scratch->table);
   HashOuterKeys(pred, outer, scratch);
-  return ProbeJoin(pred, outer, *scratch, inner, &scratch->table, out, stats);
+  return ProbeJoin(pred, outer, *scratch, inner, &scratch->table, out, stats,
+                   emit);
 }
 
 Status CopyPage(const Page& in, PageSink* out) {

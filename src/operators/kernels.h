@@ -24,6 +24,7 @@
 #include "obs/counters.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
+#include "ra/plan.h"
 #include "storage/page.h"
 #include "storage/page_sink.h"
 #include "storage/tuple.h"
@@ -52,6 +53,18 @@ struct JoinScratch {
   JoinTable table;                   ///< JoinPages' inner table.
 };
 
+/// Emits the join of \p outer and \p inner with its parts in \p emit order
+/// (ra/plan.h). A swapped join has the query's right input as its outer
+/// and emits inner ++ outer, so its output keeps the column order and
+/// bytes of the join it replaced.
+inline Status EmitJoined(PageSink* out, JoinEmit emit, Slice outer,
+                         Slice inner) {
+  const bool outer_first = emit == JoinEmit::kOuterInner;
+  const Slice parts[2] = {outer_first ? outer : inner,
+                          outer_first ? inner : outer};
+  return out->EmitParts(parts, 2);
+}
+
 /// \brief Emits tuples of \p in satisfying \p pred (the `restrict` operator
 /// applied to one page). Interpreted reference flavour.
 Status RestrictPage(const Schema& schema, const Expr& pred, const Page& in,
@@ -69,15 +82,15 @@ Status ProjectPage(const Schema& schema, const std::vector<int>& indices,
                    const Page& in, PageSink* out);
 
 /// \brief Joins one outer page against one inner page with the nested-loops
-/// method: every outer tuple against every inner tuple, emitting
-/// outer ++ inner whenever \p pred holds. Interpreted reference flavour.
+/// method: every outer tuple against every inner tuple, emitting the pair
+/// in \p emit order whenever \p pred holds. Interpreted reference flavour.
 ///
 /// This is the page-granularity unit of the paper's join: "each processor
 /// will join a distinct set of pages from the outer relation with all the
 /// pages of the inner relation" (Section 4.0).
 Status JoinPages(const Schema& outer_schema, const Schema& inner_schema,
                  const Expr& pred, const Page& outer, const Page& inner,
-                 PageSink* out);
+                 PageSink* out, JoinEmit emit = JoinEmit::kOuterInner);
 
 /// \brief Builds \p table over the equi-keys of \p inner. \p pred must be
 /// hash_eligible(). Duplicate keys chain in ascending inner order.
@@ -93,22 +106,27 @@ void HashOuterKeys(const CompiledJoinPredicate& pred, const Page& outer,
 /// \brief The compiled join of one outer page with one inner page. With
 /// \p table (BuildJoinTable of \p inner) it probes: one lookup per outer
 /// tuple by its hash in \p scratch (HashOuterKeys of \p outer), then the
-/// key's chain, O(n+m) instead of O(n*m). Without, it runs program-driven
-/// nested loops. Output tuple order is identical to the nested-loops
-/// flavour in both cases: matches in ascending inner order, outer-major.
+/// key's chain, O(n+m) instead of O(n*m), with residual conjuncts run per
+/// match. Without a table, it runs program-driven nested loops.
+///
+/// Output order is the same in every case: outer-major, each outer
+/// tuple's matches in ascending inner order, and within each tuple the
+/// parts in \p emit order (outer ++ inner unless the join was swapped).
 /// Counts one kernel.hash_joins (plus the table's build collisions) or one
 /// kernel.nested_joins per call.
 Status ProbeJoin(const CompiledJoinPredicate& pred, const Page& outer,
                  const JoinScratch& scratch, const Page& inner,
                  const JoinTable* table, PageSink* out,
-                 KernelStats* stats = nullptr);
+                 KernelStats* stats = nullptr,
+                 JoinEmit emit = JoinEmit::kOuterInner);
 
 /// \brief Build-then-probe over one page pair (tests and benchmarks; the
 /// backends build each inner table once). Hashes when \p pred carries
 /// equi-keys and \p scratch is given, else runs nested loops.
 Status JoinPages(const CompiledJoinPredicate& pred, const Page& outer,
                  const Page& inner, JoinScratch* scratch, PageSink* out,
-                 KernelStats* stats = nullptr);
+                 KernelStats* stats = nullptr,
+                 JoinEmit emit = JoinEmit::kOuterInner);
 
 /// \brief Copies every tuple of \p in to \p out (union branch plumbing).
 Status CopyPage(const Page& in, PageSink* out);

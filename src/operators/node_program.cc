@@ -140,13 +140,14 @@ void NodeProgram::HashOuter(const Page& outer, JoinScratch* scratch) const {
 Status NodeProgram::Join(const Page& outer, const JoinScratch& scratch,
                          const Page& inner, const JoinTable* table,
                          PageSink* sink, KernelStats* stats) const {
+  const JoinEmit emit = node_.join_emit();
   if (join_.has_value()) {
-    return ProbeJoin(*join_, outer, scratch, inner, table, sink, stats);
+    return ProbeJoin(*join_, outer, scratch, inner, table, sink, stats, emit);
   }
   stats->interpreted_pages.fetch_add(1, std::memory_order_relaxed);
   stats->nested_joins.fetch_add(1, std::memory_order_relaxed);
   return JoinPages(node_.child(0).output_schema, node_.child(1).output_schema,
-                   *node_.predicate, outer, inner, sink);
+                   *node_.predicate, outer, inner, sink, emit);
 }
 
 Status NodeProgram::Finish(PageSink* sink) {

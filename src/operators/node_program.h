@@ -83,6 +83,7 @@ class NodeProgram {
 
   /// Joins one outer page with one inner page (kJoin). \p table is the
   /// inner page's BuildInnerTable() and \p scratch holds HashOuter(outer).
+  /// The parts of each tuple go in PlanNode::join_emit() order.
   Status Join(const Page& outer, const JoinScratch& scratch, const Page& inner,
               const JoinTable* table, PageSink* sink,
               KernelStats* stats) const;

@@ -51,7 +51,7 @@ Status SortMergeJoin(const Schema& outer_schema,
                      const std::vector<PagePtr>& outer_pages, int outer_col,
                      const Schema& inner_schema,
                      const std::vector<PagePtr>& inner_pages, int inner_col,
-                     PageSink* out) {
+                     PageSink* out, JoinEmit emit) {
   if (outer_col < 0 || outer_col >= outer_schema.num_columns() ||
       inner_col < 0 || inner_col >= inner_schema.num_columns()) {
     return Status::OutOfRange("join column index out of range");
@@ -92,8 +92,8 @@ Status SortMergeJoin(const Schema& outer_schema,
       }
       for (size_t a = i; a < i_end; ++a) {
         for (size_t b = j; b < j_end; ++b) {
-          const Slice parts[2] = {outer[a].tuple(), inner[b].tuple()};
-          DFDB_RETURN_IF_ERROR(out->EmitParts(parts, 2));
+          DFDB_RETURN_IF_ERROR(
+              EmitJoined(out, emit, outer[a].tuple(), inner[b].tuple()));
         }
       }
       i = i_end;

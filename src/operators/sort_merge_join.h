@@ -12,13 +12,15 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "operators/kernels.h"
 #include "storage/page.h"
 #include "storage/page_sink.h"
 
 namespace dfdb {
 
 /// \brief Equi-joins two fully materialized relations by sorting both sides
-/// on the join column and merging. Emits outer ++ inner concatenations.
+/// on the join column and merging. Emits each matching pair with its parts
+/// in \p emit order (outer ++ inner unless the join was swapped).
 ///
 /// \p outer_col / \p inner_col are the join columns (must be the same type).
 /// Handles duplicate keys on both sides (block cross products).
@@ -26,7 +28,7 @@ Status SortMergeJoin(const Schema& outer_schema,
                      const std::vector<PagePtr>& outer_pages, int outer_col,
                      const Schema& inner_schema,
                      const std::vector<PagePtr>& inner_pages, int inner_col,
-                     PageSink* out);
+                     PageSink* out, JoinEmit emit = JoinEmit::kOuterInner);
 
 }  // namespace dfdb
 

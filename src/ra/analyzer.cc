@@ -88,18 +88,6 @@ Status Analyzer::ResolveNode(PlanNode* node, int depth, int* next_id,
         indices.push_back(idx);
       }
       DFDB_ASSIGN_OR_RETURN(node->output_schema, in.Project(indices));
-      if (!node->project_aliases.empty()) {
-        if (node->project_aliases.size() != node->columns.size()) {
-          return Status::InvalidArgument(
-              "project aliases must match the column list in length");
-        }
-        std::vector<Column> renamed = node->output_schema.columns();
-        for (size_t i = 0; i < renamed.size(); ++i) {
-          renamed[i].name = node->project_aliases[i];
-        }
-        DFDB_ASSIGN_OR_RETURN(node->output_schema,
-                              Schema::Create(std::move(renamed)));
-      }
       analysis->num_projects++;
       break;
     }
@@ -108,10 +96,10 @@ Status Analyzer::ResolveNode(PlanNode* node, int depth, int* next_id,
       if (!node->predicate) {
         return Status::InvalidArgument("Join requires a predicate");
       }
-      const Schema& left = node->child(0).output_schema;
-      const Schema& right = node->child(1).output_schema;
-      DFDB_RETURN_IF_ERROR(node->predicate->Bind(left, &right));
-      node->output_schema = left.Concat(right);
+      DFDB_RETURN_IF_ERROR(node->predicate->Bind(
+          node->child(0).output_schema, &node->child(1).output_schema));
+      node->output_schema = node->join_left().output_schema.Concat(
+          node->join_right().output_schema);
       analysis->num_joins++;
       break;
     }

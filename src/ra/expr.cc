@@ -226,6 +226,12 @@ ExprPtr Col(std::string name) {
 ExprPtr RightCol(std::string name) {
   return std::make_shared<ColumnRefExpr>(std::move(name), Side::kRight);
 }
+ExprPtr SwapSides(const Expr& e) {
+  return e.TransformColumns([](const ColumnRefExpr& ref) {
+    return std::make_shared<ColumnRefExpr>(
+        ref.name(), ref.side() == Side::kLeft ? Side::kRight : Side::kLeft);
+  });
+}
 ExprPtr Eq(ExprPtr l, ExprPtr r) {
   return std::make_shared<CompareExpr>(CompareOp::kEq, std::move(l), std::move(r));
 }

@@ -270,6 +270,10 @@ ExprPtr Mul(ExprPtr l, ExprPtr r);
 ExprPtr Div(ExprPtr l, ExprPtr r);
 /// @}
 
+/// Rebuilds \p e with the side of every column reference flipped, the
+/// predicate of a join whose inputs trade places. The result is unbound.
+ExprPtr SwapSides(const Expr& e);
+
 }  // namespace dfdb
 
 #endif  // DFDB_RA_EXPR_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -37,26 +38,6 @@ ExprPtr CloneExpr(const Expr& e) {
   return e.TransformColumns([](const ColumnRefExpr& ref) {
     return std::make_shared<ColumnRefExpr>(ref.name(), ref.side());
   });
-}
-
-/// Swaps the sides of every column reference (for join input swapping).
-ExprPtr SwapSides(const Expr& e) {
-  return e.TransformColumns([](const ColumnRefExpr& ref) {
-    return std::make_shared<ColumnRefExpr>(
-        ref.name(),
-        ref.side() == Side::kLeft ? Side::kRight : Side::kLeft);
-  });
-}
-
-/// True if every column named in \p e exists in \p schema (left side only).
-bool AllColumnsIn(const Expr& e, const Schema& schema) {
-  std::vector<const ColumnRefExpr*> refs;
-  e.CollectColumnRefs(&refs);
-  for (const ColumnRefExpr* ref : refs) {
-    if (ref->side() != Side::kLeft) return false;
-    if (!schema.ColumnIndex(ref->name()).ok()) return false;
-  }
-  return true;
 }
 
 /// If \p name matches the benchmark convention "k<N>", returns N.
@@ -273,28 +254,69 @@ class Rewriter {
     *node = std::move(p);
   }
 
-  /// restrict(join(l, r), p): conjuncts of p whose columns all exist in
-  /// l's schema move onto l. (Right-side pushes would need the rename map
-  /// of Concat; left names pass through unchanged, so only those move.)
+  /// restrict(join(a, b), p): each conjunct of p whose columns all come
+  /// from one input moves onto that input, renamed to the input's own
+  /// column names. The join's output is join_left() ++ join_right(), so a
+  /// column's position there names its input and its name in that input
+  /// (the left input keeps its names, the right's duplicates carry "_r").
   void PushIntoJoin(PlanNodePtr* node) {
     PlanNode& n = **node;
     if (n.op != PlanOp::kRestrict || n.child(0).op != PlanOp::kJoin) return;
     PlanNode& join = n.child(0);
-    const Schema& left_schema = join.child(0).output_schema;
+    const PlanNode& left = join.join_left();
+    const PlanNode& right = join.join_right();
+    const Schema& out = join.output_schema;
+    const int left_width = left.output_schema.num_columns();
+    if (!join.resolved || !left.resolved || !right.resolved ||
+        out.num_columns() != left_width + right.output_schema.num_columns()) {
+      return;
+    }
+    // The input an output column comes from, and its name there.
+    struct Source {
+      const PlanNode* input;
+      const std::string* name;
+    };
+    auto source_of = [&](const ColumnRefExpr& ref) -> std::optional<Source> {
+      auto pos = out.ColumnIndex(ref.name());
+      if (!pos.ok()) return std::nullopt;
+      if (*pos < left_width) {
+        return Source{&left, &left.output_schema.column(*pos).name};
+      }
+      return Source{&right,
+                    &right.output_schema.column(*pos - left_width).name};
+    };
+
     std::vector<ExprPtr> conjuncts;
     CollectConjuncts(n.predicate, &conjuncts);
-    std::vector<ExprPtr> pushed, kept;
+    std::vector<ExprPtr> pushed[2], kept;  // pushed[i] goes onto child(i).
     for (ExprPtr& c : conjuncts) {
-      if (AllColumnsIn(*c, left_schema)) {
-        pushed.push_back(CloneExpr(*c));
-      } else {
-        kept.push_back(c);
+      std::vector<const ColumnRefExpr*> refs;
+      c->CollectColumnRefs(&refs);
+      // A conjunct without columns goes to the outer.
+      const PlanNode* target = &join.child(0);
+      bool one_input = true;
+      for (size_t i = 0; i < refs.size() && one_input; ++i) {
+        const std::optional<Source> src = source_of(*refs[i]);
+        one_input = src.has_value() && (i == 0 || src->input == target);
+        if (one_input) target = src->input;
       }
+      if (!one_input) {
+        kept.push_back(c);
+        continue;
+      }
+      pushed[target == &join.child(0) ? 0 : 1].push_back(
+          c->TransformColumns([&](const ColumnRefExpr& ref) -> ExprPtr {
+            return std::make_shared<ColumnRefExpr>(*source_of(ref)->name,
+                                                   ref.side());
+          }));
     }
-    if (pushed.empty()) return;
-    join.children[0] =
-        MakeRestrict(std::move(join.children[0]), AndAll(pushed));
-    report_->predicates_pushed += static_cast<int>(pushed.size());
+    if (pushed[0].empty() && pushed[1].empty()) return;
+    for (int i = 0; i < 2; ++i) {
+      if (pushed[i].empty()) continue;
+      PlanNodePtr& child = join.children[static_cast<size_t>(i)];
+      child = MakeRestrict(std::move(child), AndAll(pushed[i]));
+      report_->predicates_pushed += static_cast<int>(pushed[i].size());
+    }
     if (kept.empty()) {
       // The whole restrict moved; splice it out.
       *node = std::move(n.children[0]);
@@ -303,48 +325,21 @@ class Rewriter {
     }
   }
 
-  /// join(small, big) => project(join(big, small)): more outer pages means
-  /// more parallelism across IPs, and a smaller inner relation means less
-  /// broadcast traffic and shorter IRC vectors. The wrapping projection
-  /// restores the original output schema (column order and names), because
-  /// swapping the inputs both reorders the concatenation and flips which
-  /// duplicate names get the "_r" suffix.
+  /// join(small, big) => join(big, small) marked join_swapped: more outer
+  /// pages means more parallelism across IPs, and a smaller inner relation
+  /// means less broadcast traffic and shorter IRC vectors. The swapped
+  /// join writes each output tuple as inner ++ outer, so its schema and
+  /// bytes stay those of the join it replaced; swapping it back clears the
+  /// mark.
   void ReorderJoin(PlanNodePtr* node) {
     PlanNode& n = **node;
     if (n.op != PlanOp::kJoin || !n.resolved) return;
     const double left = optimizer_->EstimateRows(n.child(0));
     const double right = optimizer_->EstimateRows(n.child(1));
     if (left >= right) return;
-
-    const Schema original = n.output_schema;
-    const Schema& old_left = n.child(0).output_schema;
-    const Schema& old_right = n.child(1).output_schema;
-    const int old_left_n = old_left.num_columns();
-    const int old_right_n = old_right.num_columns();
-    // A child rewritten earlier in this pass leaves this node's schema
-    // stale (it reflects the pre-rewrite children). Defer to the next
-    // fixpoint pass, which re-resolves before rules run again.
-    if (!n.child(0).resolved || !n.child(1).resolved ||
-        original.num_columns() != old_left_n + old_right_n) {
-      return;
-    }
-    const Schema swapped = old_right.Concat(old_left);
-
-    std::vector<std::string> cols;
-    std::vector<std::string> aliases;
-    cols.reserve(static_cast<size_t>(original.num_columns()));
-    for (int i = 0; i < original.num_columns(); ++i) {
-      const int swapped_pos =
-          i < old_left_n ? old_right_n + i : i - old_left_n;
-      cols.push_back(swapped.column(swapped_pos).name);
-      aliases.push_back(original.column(i).name);
-    }
-
     std::swap(n.children[0], n.children[1]);
     n.predicate = SwapSides(*n.predicate);
-    PlanNodePtr wrapper = MakeProject(std::move(*node), std::move(cols));
-    wrapper->project_aliases = std::move(aliases);
-    *node = std::move(wrapper);
+    n.join_swapped = !n.join_swapped;
     report_->joins_swapped++;
   }
 
@@ -588,10 +583,10 @@ std::vector<EquiJoinKey> ExtractEquiJoinKeys(const PlanNode& join) {
       !join.child(1).resolved) {
     return keys;
   }
-  const Schema& left = join.child(0).output_schema;
-  const Schema& right = join.child(1).output_schema;
+  const Schema& left = join.join_left().output_schema;
+  const Schema& right = join.join_right().output_schema;
   std::vector<ExprPtr> conjuncts;
-  CollectConjuncts(join.predicate, &conjuncts);
+  CollectConjuncts(join.join_predicate(), &conjuncts);
   for (const ExprPtr& c : conjuncts) {
     if (c->kind() != Expr::Kind::kCompare) continue;
     const auto& cmp = static_cast<const CompareExpr&>(*c);

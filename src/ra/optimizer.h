@@ -160,9 +160,11 @@ struct EquiJoinKey {
 
 /// Extracts every hash-partitionable equi-key conjunct of a kJoin node
 /// whose children are resolved (their output schemas are consulted for the
-/// type rule). Non-join nodes and predicates without usable conjuncts
-/// yield an empty vector. Used by the distributed fragment planner
-/// (dist/fragment.h) to derive partitioning properties and cut exchanges.
+/// type rule), left and right as the query wrote the join (the join_left()
+/// and join_right() of a swapped join). Non-join nodes and predicates
+/// without usable conjuncts yield an empty vector. Used by the distributed
+/// fragment planner (dist/fragment.h) to derive partitioning properties
+/// and cut exchanges.
 std::vector<EquiJoinKey> ExtractEquiJoinKeys(const PlanNode& join);
 
 }  // namespace dfdb

@@ -62,6 +62,10 @@ int PlanNode::TreeSize() const {
   return n;
 }
 
+ExprPtr PlanNode::join_predicate() const {
+  return join_swapped ? SwapSides(*predicate) : predicate;
+}
+
 std::string PlanNode::ToString(int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += PlanOpToString(op);
@@ -69,6 +73,7 @@ std::string PlanNode::ToString(int indent) const {
   if (predicate) out += " [" + predicate->ToString() + "]";
   if (!columns.empty()) out += " cols={" + JoinStrings(columns, ",") + "}";
   if (op == PlanOp::kProject && dedup) out += " dedup";
+  if (join_swapped) out += " swapped";
   if (op == PlanOp::kAggregate) {
     std::vector<std::string> parts;
     for (const auto& a : aggregates) {
@@ -104,7 +109,7 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
         });
   }
   copy->columns = columns;
-  copy->project_aliases = project_aliases;
+  copy->join_swapped = join_swapped;
   copy->dedup = dedup;
   copy->bag_semantics = bag_semantics;
   copy->aggregates = aggregates;

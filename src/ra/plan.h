@@ -60,6 +60,15 @@ struct AggregateSpec {
 
 std::string_view AggregateFuncToString(AggregateSpec::Func f);
 
+/// \brief The order of the two parts of each tuple a join emits: outer
+/// (child 0) ++ inner (child 1) for a join as written, inner ++ outer for a
+/// join the optimizer swapped (PlanNode::join_emit()). The order of the
+/// tuples themselves is the same either way.
+enum class JoinEmit {
+  kOuterInner,  ///< outer ++ inner, the join as written.
+  kInnerOuter,  ///< inner ++ outer, a swapped join.
+};
+
 /// \brief A node of the query tree.
 ///
 /// Built by the helper constructors below, then resolved once by
@@ -79,10 +88,13 @@ struct PlanNode {
   ExprPtr predicate;
   /// kProject: output columns. kAggregate: group-by columns.
   std::vector<std::string> columns;
-  /// kProject: optional output column names (aliases), parallel to
-  /// `columns`. Empty keeps the source names. Used by the optimizer to
-  /// restore the public schema after join-input swaps.
-  std::vector<std::string> project_aliases;
+  /// kJoin: the optimizer traded the inputs (Optimizer's join ordering),
+  /// so child(0) is the query's right input and child(1) its left, and the
+  /// predicate's sides are swapped to match. The join still outputs the
+  /// query's column order and names. Swapping a swapped join clears the
+  /// flag. Read it through the join_* accessors below, which give the
+  /// query's join whichever way the children run.
+  bool join_swapped = false;
   /// kProject: eliminate duplicates (the full relational project).
   bool dedup = false;
   /// kUnion: keep duplicates (bag union) when true.
@@ -128,6 +140,22 @@ struct PlanNode {
   int num_children() const { return static_cast<int>(children.size()); }
   const PlanNode& child(int i) const { return *children[static_cast<size_t>(i)]; }
   PlanNode& child(int i) { return *children[static_cast<size_t>(i)]; }
+
+  /// \name kJoin as the query wrote it
+  /// The outer (child 0) and inner (child 1) are the join as it runs; the
+  /// query's left and right inputs are those two, traded back if the join
+  /// is swapped. The output schema is join_left() ++ join_right(), written
+  /// as each tuple's parts in join_emit() order.
+  /// @{
+  const PlanNode& join_left() const { return child(join_swapped ? 1 : 0); }
+  const PlanNode& join_right() const { return child(join_swapped ? 0 : 1); }
+  /// The predicate with join_left()'s columns on the left side: `predicate`
+  /// itself, or an unbound copy with its sides swapped back.
+  ExprPtr join_predicate() const;
+  JoinEmit join_emit() const {
+    return join_swapped ? JoinEmit::kInnerOuter : JoinEmit::kOuterInner;
+  }
+  /// @}
 
   /// Number of nodes in this subtree.
   int TreeSize() const;

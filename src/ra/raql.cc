@@ -203,15 +203,6 @@ StatusOr<std::string> PlanText(const PlanNode& node) {
       return StrFormat("restrict(%s, %s)", child.c_str(), pred.c_str());
     }
     case PlanOp::kProject: {
-      // The grammar has no alias syntax; a projection that renames columns
-      // cannot be expressed as text.
-      for (size_t i = 0; i < node.project_aliases.size(); ++i) {
-        if (!node.project_aliases[i].empty() &&
-            node.project_aliases[i] != node.columns[i]) {
-          return Status::InvalidArgument(
-              "cannot serialize to RAQL: project aliases are not expressible");
-        }
-      }
       DFDB_ASSIGN_OR_RETURN(std::string child, PlanText(node.child(0)));
       DFDB_ASSIGN_OR_RETURN(std::string cols,
                             NameList(node.columns, "column"));
@@ -219,9 +210,12 @@ StatusOr<std::string> PlanText(const PlanNode& node) {
                        node.dedup ? ", dedup" : "");
     }
     case PlanOp::kJoin: {
-      DFDB_ASSIGN_OR_RETURN(std::string left, PlanText(node.child(0)));
-      DFDB_ASSIGN_OR_RETURN(std::string right, PlanText(node.child(1)));
-      DFDB_ASSIGN_OR_RETURN(std::string pred, ExprText(*node.predicate));
+      // A swapped join prints as the join it replaced, which parses back to
+      // the same schema and rows.
+      DFDB_ASSIGN_OR_RETURN(std::string left, PlanText(node.join_left()));
+      DFDB_ASSIGN_OR_RETURN(std::string right, PlanText(node.join_right()));
+      DFDB_ASSIGN_OR_RETURN(std::string pred,
+                            ExprText(*node.join_predicate()));
       return StrFormat("join(%s, %s, %s)", left.c_str(), right.c_str(),
                        pred.c_str());
     }

@@ -9,9 +9,10 @@
 /// query.
 ///
 /// Serialization is total-or-error: constructs the grammar cannot express
-/// (project aliases, non-finite doubles, literals with quotes, identifiers
-/// that collide with keywords) yield InvalidArgument instead of silently
-/// emitting unparseable text.
+/// (non-finite doubles, literals with quotes, identifiers that collide with
+/// keywords) yield InvalidArgument instead of silently emitting unparseable
+/// text. A join the optimizer swapped (PlanNode::join_swapped) prints as
+/// the join it replaced.
 
 #ifndef DFDB_RA_RAQL_H_
 #define DFDB_RA_RAQL_H_

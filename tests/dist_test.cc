@@ -22,6 +22,7 @@
 #include "engine/reference.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "ra/optimizer.h"
 #include "ra/parser.h"
 #include "tests/test_util.h"
 #include "workload/paper_benchmark.h"
@@ -168,13 +169,20 @@ class PlannerTest : public ::testing::Test {
  protected:
   void SetUp() override { ASSERT_OK(BuildPaperCatalog(&catalog_, kScale)); }
 
-  StatusOr<DistributedPlan> Plan(const std::string& text, int workers) {
+  StatusOr<DistributedPlan> Plan(const std::string& text, int workers,
+                                 uint64_t broadcast_max_bytes = 96 * 1024) {
     DFDB_ASSIGN_OR_RETURN(PlanNodePtr root, ParseQuery(text));
+    return PlanTree(root.get(), workers, broadcast_max_bytes);
+  }
+
+  StatusOr<DistributedPlan> PlanTree(PlanNode* root, int workers,
+                                     uint64_t broadcast_max_bytes) {
     FragmentPlannerOptions options;
     options.num_workers = workers;
     options.partition_column = std::string(kPartitionColumn);
+    options.broadcast_max_bytes = broadcast_max_bytes;
     FragmentPlanner planner(&catalog_, options);
-    return planner.Plan(root.get());
+    return planner.Plan(root);
   }
 
   Catalog catalog_;
@@ -240,6 +248,44 @@ TEST_F(PlannerTest, ExchangeIdsThreadAcrossPlans) {
   ASSERT_OK_AND_ASSIGN(DistributedPlan second, planner.Plan(root.get()));
   for (const StreamRoute& route : second.streams) {
     EXPECT_GE(route.exchange_id, first.next_exchange_id);
+  }
+}
+
+TEST_F(PlannerTest, SwappedJoinIsPlannedInItsLogicalOrder) {
+  // The optimizer swaps this join (the restricted r10 is the smaller
+  // input). Planned as written or optimized, every fragment, route and the
+  // result schema must be the same: the planner composes a swapped join as
+  // the join it replaced, never with its columns reordered.
+  const std::string text =
+      "join(restrict(r10, k1000 < 50), r01, k25 = right.k100)";
+  ASSERT_OK_AND_ASSIGN(PlanNodePtr parsed, ParseQuery(text));
+  Optimizer optimizer(&catalog_);
+  OptimizerReport report;
+  ASSERT_OK_AND_ASSIGN(PlanNodePtr optimized,
+                       optimizer.Optimize(*parsed, &report));
+  ASSERT_EQ(report.joins_swapped, 1);
+  ASSERT_TRUE(optimized->join_swapped);
+  // One worker, a broadcast of the small side, and a repartition of both.
+  for (auto [workers, broadcast_max] :
+       {std::pair<int, uint64_t>{1, 96 * 1024}, {3, 96 * 1024}, {3, 0}}) {
+    SCOPED_TRACE(workers);
+    SCOPED_TRACE(broadcast_max);
+    ASSERT_OK_AND_ASSIGN(DistributedPlan want,
+                         Plan(text, workers, broadcast_max));
+    ASSERT_OK_AND_ASSIGN(DistributedPlan got,
+                         PlanTree(optimized.get(), workers, broadcast_max));
+    EXPECT_EQ(got.result_schema, want.result_schema);
+    ASSERT_EQ(got.fragments.size(), want.fragments.size());
+    for (size_t i = 0; i < want.fragments.size(); ++i) {
+      EXPECT_EQ(got.fragments[i].request.text, want.fragments[i].request.text);
+      EXPECT_EQ(got.fragments[i].request.output_key_cols,
+                want.fragments[i].request.output_key_cols);
+      EXPECT_EQ(got.fragments[i].singleton, want.fragments[i].singleton);
+    }
+    ASSERT_EQ(got.streams.size(), want.streams.size());
+    for (size_t i = 0; i < want.streams.size(); ++i) {
+      EXPECT_EQ(got.streams[i].mode, want.streams[i].mode);
+    }
   }
 }
 

@@ -157,6 +157,136 @@ INSTANTIATE_TEST_SUITE_P(JoinColumns, JoinEquivalenceTest,
                            return "col" + std::to_string(info.param);
                          });
 
+/// A page of \p n tuples of \p schema. Integer columns draw from
+/// [-range, range), so keys repeat and go negative; INT64 values are spread
+/// across the high bytes too.
+PagePtr KeyedPage(const Schema& schema, Random* rng, int n, int64_t range) {
+  auto page = Page::Create(0, schema.tuple_width(),
+                           schema.tuple_width() * std::max(n, 1));
+  EXPECT_TRUE(page.ok()) << page.status();
+  for (int i = 0; i < n; ++i) {
+    std::vector<Value> values;
+    for (const Column& col : schema.columns()) {
+      const int64_t v = rng->UniformInRange(-range, range - 1);
+      switch (col.type) {
+        case ColumnType::kInt32:
+          values.push_back(Value::Int32(static_cast<int32_t>(v)));
+          break;
+        case ColumnType::kInt64:
+          values.push_back(Value::Int64(v * 0x100000001LL));
+          break;
+        case ColumnType::kDouble:
+          values.push_back(Value::Double(rng->NextDouble()));
+          break;
+        case ColumnType::kChar:
+          values.push_back(Value::Char(std::string(
+              static_cast<size_t>(rng->Uniform(
+                  static_cast<uint64_t>(col.width) + 1)),
+              static_cast<char>('a' + rng->Uniform(3)))));
+          break;
+      }
+    }
+    auto tuple = EncodeTuple(schema, values);
+    EXPECT_TRUE(tuple.ok()) << tuple.status();
+    EXPECT_OK(page->Append(Slice(*tuple)));
+  }
+  return SealPage(std::move(*page));
+}
+
+/// On the same pages, the hash join (build, hash, probe), the compiled
+/// nested loops and the interpreted nested loops must emit the same bytes
+/// in both emission orders, for INT32 and INT64 keys with duplicates,
+/// negative values, empty pages and residual conjuncts; inner ++ outer is
+/// outer ++ inner with its two parts traded.
+TEST(HashJoinTest, HashAndNestedLoopsAgreeInBothOrders) {
+  const Schema outer = Schema::CreateOrDie(
+      {Column::Char("tag", 5), Column::Int32("a"), Column::Int64("b"),
+       Column::Double("x")});
+  const Schema inner = Schema::CreateOrDie(
+      {Column::Int64("b"), Column::Int32("c"), Column::Int32("a"),
+       Column::Char("pad", 3)});
+  const size_t outer_width = static_cast<size_t>(outer.tuple_width());
+  Random rng(91);
+  uint64_t collisions = 0, matches = 0;
+  int empty_pages = 0, residuals = 0;
+  for (int round = 0; round < 400; ++round) {
+    const bool wide = round % 2 == 1;
+    const int64_t range = 1 + static_cast<int64_t>(rng.Uniform(40));
+    auto size = [&rng]() {
+      return rng.Uniform(6) == 0 ? 0 : static_cast<int>(rng.Uniform(70));
+    };
+    const PagePtr o = KeyedPage(outer, &rng, size(), range);
+    const PagePtr i = KeyedPage(inner, &rng, size(), range);
+    if (o->empty() || i->empty()) ++empty_pages;
+    ExprPtr pred = wide ? Eq(Col("b"), RightCol("b"))
+                        : Eq(RightCol("a"), Col("a"));
+    switch (rng.Uniform(3)) {
+      case 0:
+        pred = And(pred, Le(RightCol("c"), Col("a")));
+        ++residuals;
+        break;
+      case 1:
+        pred = And(Lt(Col("x"), Lit(0.5)), pred);
+        ++residuals;
+        break;
+      default:
+        break;
+    }
+    ASSERT_OK(pred->Bind(outer, &inner));
+    ASSERT_OK_AND_ASSIGN(CompiledJoinPredicate compiled,
+                         CompiledJoinPredicate::Compile(*pred, outer, inner));
+    ASSERT_EQ(compiled.keys().size(), 1u);
+    SCOPED_TRACE(pred->ToString());
+
+    std::vector<std::string> outer_first;
+    for (JoinEmit emit : {JoinEmit::kOuterInner, JoinEmit::kInnerOuter}) {
+      VectorSink hashed, compiled_nested, interpreted;
+      KernelStats stats;
+      JoinScratch scratch;
+      ASSERT_OK(JoinPages(compiled, *o, *i, &scratch, &hashed, &stats, emit));
+      EXPECT_EQ(stats.hash_joins.load(), 1u);
+      ASSERT_OK(JoinPages(compiled, *o, *i, /*scratch=*/nullptr,
+                          &compiled_nested, &stats, emit));
+      EXPECT_EQ(stats.nested_joins.load(), 1u);
+      ASSERT_OK(JoinPages(outer, inner, *pred, *o, *i, &interpreted, emit));
+      EXPECT_EQ(hashed.tuples(), interpreted.tuples());
+      EXPECT_EQ(compiled_nested.tuples(), interpreted.tuples());
+      if (emit == JoinEmit::kOuterInner) {
+        outer_first = hashed.tuples();
+        collisions += stats.hash_build_collisions.load();
+        continue;
+      }
+      ASSERT_EQ(hashed.tuples().size(), outer_first.size());
+      for (size_t t = 0; t < outer_first.size(); ++t) {
+        const std::string& ab = outer_first[t];
+        EXPECT_EQ(hashed.tuples()[t],
+                  ab.substr(outer_width) + ab.substr(0, outer_width));
+      }
+      matches += outer_first.size();
+    }
+  }
+  EXPECT_GT(collisions, 100u);
+  EXPECT_GT(matches, 1000u);
+  EXPECT_GT(empty_pages, 20);
+  EXPECT_GT(residuals, 100);
+}
+
+TEST_F(OperatorsTest, SortMergeEmitsEitherOrder) {
+  const int col = 6;  // k100
+  VectorSink outer_inner, inner_outer;
+  ASSERT_OK(SortMergeJoin(schema_, a_pages_, col, schema_, b_pages_, col,
+                          &outer_inner));
+  ASSERT_OK(SortMergeJoin(schema_, a_pages_, col, schema_, b_pages_, col,
+                          &inner_outer, JoinEmit::kInnerOuter));
+  const size_t width = static_cast<size_t>(schema_.tuple_width());
+  ASSERT_EQ(outer_inner.tuples().size(), inner_outer.tuples().size());
+  ASSERT_FALSE(outer_inner.tuples().empty());
+  for (size_t t = 0; t < outer_inner.tuples().size(); ++t) {
+    const std::string& ab = outer_inner.tuples()[t];
+    EXPECT_EQ(inner_outer.tuples()[t], ab.substr(width) + ab.substr(0, width));
+  }
+}
+
 TEST_F(OperatorsTest, SortMergeRejectsTypeMismatch) {
   VectorSink sink;
   // Column 8 is DOUBLE, column 0 is INT32.

@@ -8,6 +8,8 @@
 
 #include "engine/reference.h"
 #include "ra/analyzer.h"
+#include "ra/optimizer.h"
+#include "ra/raql.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -138,6 +140,42 @@ TEST(ParserTest, ParseAnalyzeExecuteRoundTrip) {
   ASSERT_OK_AND_ASSIGN(QueryResult from_code, reference.Execute(*manual));
   testing::ExpectSameResult(from_code, from_text);
   EXPECT_GT(from_text.num_tuples(), 0u);
+}
+
+TEST(ParserTest, SwappedJoinPrintsAsTheJoinItReplaced) {
+  StorageEngine storage(800);
+  ASSERT_OK_AND_ASSIGN(auto a, GenerateRelation(&storage, "small", 60, 5));
+  ASSERT_OK_AND_ASSIGN(auto b, GenerateRelation(&storage, "big", 400, 6));
+  (void)a;
+  (void)b;
+  const std::string text =
+      "project(join(restrict(small, k1000 < 900), join(big, "
+      "restrict(small, k10 < 5), k25 = right.k25), k100 = right.k100_r), "
+      "[id, k100_r, seq_r_r])";
+  ASSERT_OK_AND_ASSIGN(PlanNodePtr parsed, ParseQuery(text));
+  Optimizer optimizer(&storage.catalog());
+  OptimizerReport report;
+  ASSERT_OK_AND_ASSIGN(PlanNodePtr optimized,
+                       optimizer.Optimize(*parsed, &report));
+  ASSERT_GE(report.joins_swapped, 1);
+  ASSERT_TRUE(optimized->child(0).join_swapped) << optimized->ToString();
+
+  // The optimized plan prints as the query's own joins, so the text parses
+  // back to the same schema and rows.
+  ASSERT_OK_AND_ASSIGN(std::string printed, PlanToRaql(*optimized));
+  ASSERT_OK_AND_ASSIGN(std::string as_written, PlanToRaql(*parsed));
+  EXPECT_EQ(printed, as_written);
+  ASSERT_OK_AND_ASSIGN(PlanNodePtr reparsed, ParseQuery(printed));
+  ReferenceExecutor reference(&storage);
+  ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*parsed));
+  ASSERT_OK_AND_ASSIGN(QueryResult from_optimized,
+                       reference.Execute(*optimized));
+  ASSERT_OK_AND_ASSIGN(QueryResult from_text, reference.Execute(*reparsed));
+  EXPECT_EQ(from_optimized.schema(), expected.schema());
+  EXPECT_EQ(from_text.schema(), expected.schema());
+  testing::ExpectSameResult(expected, from_optimized);
+  testing::ExpectSameResult(expected, from_text);
+  EXPECT_GT(expected.num_tuples(), 0u);
 }
 
 }  // namespace

@@ -363,7 +363,7 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
     BufferStats buffer;
   };
   const Golden goldens[] = {
-      {Granularity::kPage, 159, 1180, 89, 66600, 11100, 338, 868, 65,
+      {Granularity::kPage, 157, 1178, 92, 67400, 11100, 336, 868, 63,
        0xb9394f984854f8dbULL,
        BufferStats{.disk_read_bytes = 397500,
                    .disk_write_bytes = 394400,
@@ -373,18 +373,18 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
                    .cache_write_bytes = 71700,
                    .cache_reads = 148,
                    .cache_writes = 81,
-                   .local_hits = 80}},
-      {Granularity::kRelation, 159, 1180, 89, 66600, 11100, 287, 88, 65,
+                   .local_hits = 83}},
+      {Granularity::kRelation, 157, 1178, 92, 67400, 11100, 285, 82, 63,
        0x5f655557cf438e67ULL,
-       BufferStats{.disk_read_bytes = 392200,
-                   .disk_write_bytes = 404500,
-                   .disk_reads = 141,
-                   .disk_writes = 179,
+       BufferStats{.disk_read_bytes = 384200,
+                   .disk_write_bytes = 396500,
+                   .disk_reads = 139,
+                   .disk_writes = 177,
                    .cache_read_bytes = 121700,
-                   .cache_write_bytes = 114700,
+                   .cache_write_bytes = 114200,
                    .cache_reads = 208,
-                   .cache_writes = 142,
-                   .local_hits = 13}},
+                   .cache_writes = 140,
+                   .local_hits = 16}},
   };
   eopts.page_bytes = 1024;
   eopts.local_memory_pages = 4;

@@ -103,6 +103,58 @@ TEST(SchemaTest, ConcatRenamesCollisions) {
   EXPECT_EQ(j.tuple_width(), 16);
 }
 
+TEST(SchemaTest, DuplicateErrorNamesFirstRepeatInColumnOrder) {
+  auto s = Schema::Create({Column::Int32("a"), Column::Int32("b"),
+                           Column::Int32("b"), Column::Int32("a")});
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.status().IsInvalidArgument());
+  EXPECT_EQ(s.status().message(), "duplicate column name: b");
+  // Columns are checked one at a time: a bad width before the first repeat
+  // is the error reported.
+  Column bad = Column::Int32("w");
+  bad.width = 3;
+  s = Schema::Create({Column::Int32("a"), bad, Column::Int32("a")});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().message(),
+            "column w: width 3 does not match type INT32");
+  s = Schema::Create({Column::Int32("a"), Column::Int32("a"), bad});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().message(), "duplicate column name: a");
+}
+
+TEST(SchemaTest, ConcatSuffixChainsPastTakenNames) {
+  // A suffixed name that is itself taken (on the left, or by an earlier
+  // right column) takes the suffix again.
+  Schema left = Schema::CreateOrDie({Column::Int32("a"), Column::Int32("a_r")});
+  Schema right = Schema::CreateOrDie(
+      {Column::Int32("a"), Column::Int64("a_r"), Column::Char("b", 3)});
+  Schema j = left.Concat(right);
+  ASSERT_EQ(j.num_columns(), 5);
+  EXPECT_EQ(j.column(2).name, "a_r_r");
+  EXPECT_EQ(j.column(3).name, "a_r_r_r");
+  EXPECT_EQ(j.column(3).type, ColumnType::kInt64);
+  EXPECT_EQ(j.column(4).name, "b");
+  EXPECT_EQ(j.offset(4), 20);
+  EXPECT_EQ(j.tuple_width(), 23);
+  EXPECT_EQ(left.Concat(right, "_x").column(2).name, "a_x");
+}
+
+TEST(SchemaTest, ProjectDupSuffixChainsPastTakenNames) {
+  Schema s = Schema::CreateOrDie(
+      {Column::Int32("a"), Column::Int32("a_dup"), Column::Double("b")});
+  ASSERT_OK_AND_ASSIGN(Schema p, s.Project({0, 0, 1, 0, 2}));
+  ASSERT_EQ(p.num_columns(), 5);
+  EXPECT_EQ(p.column(0).name, "a");
+  EXPECT_EQ(p.column(1).name, "a_dup");
+  EXPECT_EQ(p.column(2).name, "a_dup_dup");
+  EXPECT_EQ(p.column(3).name, "a_dup_dup_dup");
+  EXPECT_EQ(p.column(4).name, "b");
+  EXPECT_EQ(p.tuple_width(), 24);
+  auto empty = s.Project({});
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().message(), "schema must have at least one column");
+}
+
 TEST(CatalogTest, CreateGetDrop) {
   Catalog catalog;
   Schema s = Schema::CreateOrDie({Column::Int32("a")});
